@@ -9,7 +9,6 @@ invariants.
 
 from .angular import (
     HalfInt,
-    SphericalVector,
     clebsch_gordan,
     couple,
     euler_rotation_cartesian,
@@ -76,7 +75,6 @@ __all__ = [
     "PptResult",
     "RankDecomposition",
     "RankPolynomial",
-    "SphericalVector",
     "Spinor",
     "StateFileError",
     "TensorComponents",

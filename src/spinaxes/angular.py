@@ -16,6 +16,10 @@ Conventions
 * Matrix bases are ordered by descending projection, ``m = +j ... -j``.
 * Component arrays of a rank-k spherical tensor are likewise ordered by
   descending projection, ``q = +k ... -k``.
+* The statistical tensor components of a spin-j state, and the stacked
+  operator basis ``tau[k,q]``, are stored flat with k ascending and q
+  descending within each rank: ``t[k,q]`` sits at index ``k^2 + k - q``
+  (:func:`tensor_index`), ``(2j+1)^2`` entries in all.
 * Euler angles ``(phi, theta, psi)`` follow the z-y-z convention with
 
   ``D[k][q',q](phi, theta, psi) = exp(-i q' phi) d[k][q',q](theta) exp(-i q psi)``
@@ -36,11 +40,13 @@ from .errors import DomainError
 
 __all__ = [
     "HalfInt",
-    "SphericalVector",
+    "angle_between",
     "clebsch_gordan",
     "couple",
     "euler_rotation_cartesian",
+    "tensor_index",
     "tensor_operator",
+    "unit_vector",
     "unit_vector_components",
     "wigner_D",
     "wigner_D_matrix",
@@ -223,19 +229,30 @@ def wigner_D_matrix(j, phi: float, theta: float, psi: float) -> np.ndarray:
     return out
 
 
+def tensor_index(k: int, q: int) -> int:
+    """Position of t[k,q] (and of tau[k,q]) in the flat component layout."""
+    if not isinstance(k, (int, np.integer)) or not isinstance(q, (int, np.integer)):
+        raise DomainError("tensor rank k and projection q must be integers")
+    if k < 0 or abs(q) > k:
+        raise DomainError(f"projection q={q} exceeds rank k={k}")
+    return int(k * k + k - q)
+
+
 @lru_cache(maxsize=None)
-def _tensor_operator_cached(tj: int, k: int, q: int) -> np.ndarray:
+def _tensor_operator_cached(tj: int) -> np.ndarray:
+    """Read-only stack of every tau[k,q] for j = tj/2, indexed by :func:`tensor_index`."""
     dim = tj + 1
-    mat = np.zeros((dim, dim), dtype=complex)
-    scale = math.sqrt(2 * k + 1)
-    for col, tm in enumerate(range(tj, -tj - 2, -2)):
-        tmp = tm + 2 * q
-        if abs(tmp) > tj:
-            continue
-        row = (tj - tmp) // 2
-        mat[row, col] = scale * _cg_exact(tj, 2 * k, tj, tm, 2 * q, tmp)
-    mat.setflags(write=False)
-    return mat
+    basis = np.zeros((dim * dim, dim, dim), dtype=complex)
+    for k in range(tj + 1):
+        scale = math.sqrt(2 * k + 1)
+        for q in range(-k, k + 1):
+            for col, tm in enumerate(range(tj, -tj - 2, -2)):
+                tmp = tm + 2 * q
+                if abs(tmp) <= tj:
+                    row = (tj - tmp) // 2
+                    basis[tensor_index(k, q), row, col] = scale * _cg_exact(tj, 2 * k, tj, tm, 2 * q, tmp)
+    basis.setflags(write=False)
+    return basis
 
 
 def tensor_operator(j, k: int, q: int) -> np.ndarray:
@@ -244,16 +261,13 @@ def tensor_operator(j, k: int, q: int) -> np.ndarray:
     Matrix elements <j m'|tau^k_q|j m> = sqrt(2k+1) C(j k j; m q m'), which
     yields Tr(tau^k_q^dag tau^k'_q') = (2j+1) delta_kk' delta_qq',
     tau^k_q^dag = (-1)^q tau^k_{-q}, and tau^0_0 = identity. The returned
-    array is cached and read-only.
+    array is a read-only view into the cached basis of every tau[k,q] for j.
     """
     tj = _twice(j)
-    if not isinstance(k, (int, np.integer)) or not isinstance(q, (int, np.integer)):
-        raise DomainError("tensor rank k and projection q must be integers")
-    if not 0 <= k <= tj:
+    index = tensor_index(k, q)
+    if k > tj:
         raise DomainError(f"rank k={k} outside 0 <= k <= 2j for j={HalfInt(tj)}")
-    if abs(q) > k:
-        raise DomainError(f"projection q={q} exceeds rank k={k}")
-    return _tensor_operator_cached(tj, int(k), int(q))
+    return _tensor_operator_cached(tj)[index]
 
 
 def couple(a, b, rank: int) -> np.ndarray:
@@ -300,41 +314,15 @@ def unit_vector_components(theta: float, phi: float) -> np.ndarray:
     )
 
 
-@dataclass(frozen=True)
-class SphericalVector:
-    """Unit vector on the sphere with its rank-1 spherical components."""
+def unit_vector(theta: float, phi: float) -> np.ndarray:
+    """Cartesian unit vector at polar angles (theta, phi)."""
+    s = math.sin(theta)
+    return np.array([s * math.cos(phi), s * math.sin(phi), math.cos(theta)])
 
-    theta: float
-    phi: float
 
-    def __post_init__(self):
-        if not -1e-12 <= self.theta <= math.pi + 1e-12:
-            raise DomainError(f"theta={self.theta} outside [0, pi]")
-        object.__setattr__(self, "theta", min(max(self.theta, 0.0), math.pi))
-        phi = self.phi % _TWO_PI
-        if _TWO_PI - phi < 1e-12:  # fp wraparound of azimuths a hair below zero
-            phi = 0.0
-        object.__setattr__(self, "phi", phi)
-
-    @classmethod
-    def from_cartesian(cls, vec) -> "SphericalVector":
-        v = np.asarray(vec, dtype=float)
-        norm = np.linalg.norm(v)
-        if norm < 1e-300:
-            raise DomainError("cannot normalize the zero vector")
-        v = v / norm
-        theta = math.acos(min(1.0, max(-1.0, v[2])))
-        phi = math.atan2(v[1], v[0]) % _TWO_PI
-        return cls(theta, phi)
-
-    @property
-    def components(self) -> np.ndarray:
-        return unit_vector_components(self.theta, self.phi)
-
-    @property
-    def cartesian(self) -> np.ndarray:
-        s = math.sin(self.theta)
-        return np.array([s * math.cos(self.phi), s * math.sin(self.phi), math.cos(self.theta)])
+def angle_between(a, b) -> float:
+    """Angle in [0, pi] between two vectors, accurate also near 0 and pi."""
+    return math.atan2(float(np.linalg.norm(np.cross(a, b))), float(np.dot(a, b)))
 
 
 def euler_rotation_cartesian(phi: float, theta: float, psi: float) -> np.ndarray:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angular import HalfInt, couple, unit_vector_components
+from .angular import _TWO_PI, HalfInt, angle_between, couple, unit_vector, unit_vector_components
 from .errors import DecompositionError, DomainError
 from .tensors import TensorComponents
 
@@ -47,7 +47,6 @@ ROOT_RESIDUAL_TOL = 1e-9     # |p(Z)| relative to the coefficient scale
 PAIRING_TOL = 1e-7           # base angular tolerance for antipodal matching
 RESIDUAL_TOL = 1e-8          # reconstruction residual accepted by decompose
 
-_TWO_PI = 2.0 * math.pi
 _EPS = float(np.finfo(float).eps)
 
 
@@ -82,8 +81,7 @@ class Axis:
 
     @property
     def cartesian(self) -> np.ndarray:
-        s = math.sin(self.theta)
-        return np.array([s * math.cos(self.phi), s * math.sin(self.phi), math.cos(self.theta)])
+        return unit_vector(self.theta, self.phi)
 
     @property
     def components(self) -> np.ndarray:
@@ -97,8 +95,7 @@ class Axis:
         return float(np.dot(self.cartesian, other.cartesian))
 
     def angle_to(self, other: "Axis") -> float:
-        a, b = self.cartesian, other.cartesian
-        return math.atan2(float(np.linalg.norm(np.cross(a, b))), float(np.dot(a, b)))
+        return angle_between(self.cartesian, other.cartesian)
 
 
 @dataclass(frozen=True)
@@ -172,16 +169,9 @@ def build_polynomial(t: TensorComponents, k: int):
     arr = t.rank_array(k)  # descending q: arr[i] = t[k, k-i]
     if float(np.max(np.abs(arr))) < EMPTY_RANK_TOL:
         return None
-    coeffs = np.array(
-        [math.sqrt(math.comb(2 * k, r)) * arr[2 * k - r] for r in range(2 * k + 1)]
-    )
+    coeffs = np.sqrt([math.comb(2 * k, r) for r in range(2 * k + 1)]) * arr[::-1]
     cmax = float(np.max(np.abs(coeffs)))
-    deficiency = 0
-    for r in range(2 * k, -1, -1):
-        if abs(coeffs[r]) <= DEFICIENCY_REL_TOL * cmax:
-            deficiency += 1
-        else:
-            break
+    deficiency = 2 * k - int(np.flatnonzero(np.abs(coeffs) > DEFICIENCY_REL_TOL * cmax)[-1])
     return RankPolynomial(k=k, coefficients=coeffs, degree_deficiency=deficiency)
 
 
@@ -234,14 +224,10 @@ def _canonical_rep(u: np.ndarray) -> np.ndarray:
     return u
 
 
-def _angle_between(a: np.ndarray, b: np.ndarray) -> float:
-    return math.atan2(float(np.linalg.norm(np.cross(a, b))), float(np.dot(a, b)))
-
-
 def _max_cluster_size(vecs: list[np.ndarray], width: float = 1e-3) -> int:
     worst = 1
     for i, v in enumerate(vecs):
-        count = sum(1 for w in vecs if _angle_between(v, w) < width)
+        count = sum(1 for w in vecs if angle_between(v, w) < width)
         worst = max(worst, count)
     return worst
 
@@ -258,10 +244,7 @@ def pair_and_canonicalize(points, *, tol: float = PAIRING_TOL) -> list[Axis]:
     pts = list(points)
     if len(pts) % 2:
         raise DecompositionError(f"expected an even number of root points, got {len(pts)}")
-    vecs = []
-    for theta, phi in pts:
-        s = math.sin(theta)
-        vecs.append(np.array([s * math.cos(phi), s * math.sin(phi), math.cos(theta)]))
+    vecs = [unit_vector(theta, phi) for theta, phi in pts]
     eff_tol = max(tol, 100.0 * _EPS ** (1.0 / _max_cluster_size(vecs)))
     remaining = list(range(len(vecs)))
     axes = []
@@ -270,7 +253,7 @@ def pair_and_canonicalize(points, *, tol: float = PAIRING_TOL) -> list[Axis]:
         for a in range(len(remaining)):
             for b in range(a + 1, len(remaining)):
                 i, j = remaining[a], remaining[b]
-                ang = _angle_between(vecs[i], -vecs[j])
+                ang = angle_between(vecs[i], -vecs[j])
                 if best is None or ang < best[0]:
                     best = (ang, a, b)
         ang, a, b = best
@@ -372,12 +355,8 @@ def decompose(
 
 def reconstruct_tensor(form: MultiaxialForm) -> TensorComponents:
     """Rebuild t[k,q] = r_k P[k,q] from the axes; absent ranks give zeros."""
-    comps = {}
-    for k in sorted(form.ranks):
-        dec = form.ranks[k]
-        if dec is None:
-            continue
-        prod = dec.r * coupled_axes_tensor(dec.axes)
-        for i in range(2 * k + 1):
-            comps[(k, k - i)] = complex(prod[i])
-    return TensorComponents(form.j, comps)
+    blocks = [np.ones(1)]
+    for k in range(1, form.j.twice + 1):
+        dec = form.ranks.get(k)
+        blocks.append(np.zeros(2 * k + 1) if dec is None else dec.r * coupled_axes_tensor(dec.axes))
+    return TensorComponents(form.j, np.concatenate(blocks))

@@ -28,7 +28,10 @@ import sys
 
 import numpy as np
 
-from .angular import HalfInt, clebsch_gordan, tensor_operator
+from .angular import (
+    HalfInt, _tensor_operator_cached, angle_between, clebsch_gordan, tensor_index, unit_vector,
+    wigner_D_matrix,
+)
 from .axes import EMPTY_RANK_TOL, build_polynomial, decompose, pair_and_canonicalize, solve_axes
 from .errors import DecompositionError, DomainError, StateFileError, ValidationError
 from .invariants import enumerate_invariants, invariant_count, spin1_named, verify_invariance
@@ -54,9 +57,12 @@ def _fmt(x: float) -> str:
 def parse_angle(text: str) -> float:
     """Angle in radians; a trailing ``deg`` marks degrees."""
     text = text.strip()
-    if text.lower().endswith("deg"):
-        return math.radians(float(text[:-3]))
-    return float(text)
+    degrees = text.lower().endswith("deg")
+    try:
+        value = float(text[:-3] if degrees else text)
+    except ValueError:
+        raise DomainError(f"cannot parse angle {text!r}") from None
+    return math.radians(value) if degrees else value
 
 
 def parse_range(text: str) -> np.ndarray:
@@ -84,12 +90,19 @@ def _read_state_json(path: str):
             payload = json.load(handle)
         except json.JSONDecodeError as exc:
             raise StateFileError(f"invalid JSON: {exc}", line=exc.lineno) from exc
+    if not isinstance(payload, dict):
+        raise StateFileError("top level must be a JSON object")
     if "twice_j" in payload:
-        jj = HalfInt(int(payload["twice_j"]))
+        twice_j = payload["twice_j"]
+        if not isinstance(twice_j, int) or isinstance(twice_j, bool):
+            raise StateFileError(f"twice_j must be an integer, got {twice_j!r}")
+        jj = HalfInt(twice_j)
     elif "j" in payload:
         jj = HalfInt.coerce(payload["j"])
     else:
         raise StateFileError("missing 'twice_j' (or 'j') field")
+    if jj.twice < 0:
+        raise StateFileError("twice_j must be non-negative")
     rows = payload.get("matrix")
     dim = jj.twice + 1
     if not isinstance(rows, list) or len(rows) != dim:
@@ -320,22 +333,18 @@ def cmd_sweep(args) -> int:
 def _suite_tau_orthogonality(inject_fault: bool) -> tuple[float, float]:
     worst = 0.0
     for tj in (1, 2, 3, 4):
-        j = HalfInt(tj)
-        ops = {}
-        for k in range(tj + 1):
-            for q in range(-k, k + 1):
-                op = np.array(tensor_operator(j, k, q))
-                ops[(k, q)] = op
+        ops = np.array(_tensor_operator_cached(tj))
         if inject_fault:
-            ops[(1, 0)] = 1.001 * ops[(1, 0)]
+            ops[tensor_index(1, 0)] *= 1.001
         dim = tj + 1
-        for (k1, q1), a in ops.items():
-            for (k2, q2), b in ops.items():
-                expected = dim if (k1, q1) == (k2, q2) else 0.0
-                value = np.einsum("ij,ji->", a.conj().T, b)
-                worst = max(worst, abs(value - expected))
-        for (k, q), a in ops.items():
-            worst = max(worst, float(np.max(np.abs(a.conj().T - (-1) ** q * ops[(k, -q)]))))
+        # Tr(a^dag b) over every pair, against (2j+1) delta
+        gram = np.einsum("aij,bij->ab", ops.conj(), ops)
+        worst = max(worst, float(np.max(np.abs(gram - dim * np.eye(dim * dim)))))
+        for k in range(tj + 1):
+            rank = ops[tensor_index(k, k) : tensor_index(k, -k) + 1]  # q = +k ... -k
+            sign = (-1.0) ** np.arange(k, -k - 1, -1)
+            mirrored = sign[:, None, None] * rank[::-1]  # (-1)^q tau[k,-q]
+            worst = max(worst, float(np.max(np.abs(rank.conj().transpose(0, 2, 1) - mirrored))))
     return worst, 1e-12
 
 
@@ -361,8 +370,6 @@ def _suite_cg_orthogonality() -> tuple[float, float]:
 
 
 def _suite_d_unitarity(rng) -> tuple[float, float]:
-    from .angular import wigner_D_matrix
-
     worst = 0.0
     for tj in (1, 2, 3, 4):
         for _ in range(5):
@@ -392,16 +399,9 @@ def _suite_root_closure(rng, trials: int) -> tuple[float, float]:
         t = random_tensor_components(HalfInt(2 * k), rng)
         poly = build_polynomial(t, k)
         points = solve_axes(poly)
-        vecs = []
-        for theta, phi in points:
-            s = math.sin(theta)
-            vecs.append(np.array([s * math.cos(phi), s * math.sin(phi), math.cos(theta)]))
+        vecs = [unit_vector(theta, phi) for theta, phi in points]
         for v in vecs:
-            best = min(
-                math.atan2(float(np.linalg.norm(np.cross(v, -w))), float(np.dot(v, -w)))
-                for w in vecs
-                if w is not v
-            )
+            best = min(angle_between(v, -w) for w in vecs if w is not v)
             worst = max(worst, best)
         pair_and_canonicalize(points)
     return worst, 1e-8

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angular import HalfInt, couple, euler_rotation_cartesian
+from .angular import _TWO_PI, HalfInt, couple, euler_rotation_cartesian
 from .axes import MultiaxialForm, decompose
 from .errors import DomainError
 from .tensors import DensityMatrix, rotate_tensor, to_tensor
@@ -161,9 +161,9 @@ def verify_invariance(
     max_axis = 0.0
     failures = []
     for trial in range(trials):
-        phi = rng.uniform(0.0, 2.0 * math.pi)
+        phi = rng.uniform(0.0, _TWO_PI)
         theta = math.acos(rng.uniform(-1.0, 1.0))
-        psi = rng.uniform(0.0, 2.0 * math.pi)
+        psi = rng.uniform(0.0, _TWO_PI)
         rot_form = decompose(rotate_tensor(base_t, phi, theta, psi))
         rot_inv = enumerate_invariants(rot_form)
         if rot_form.present_ranks != base_form.present_ranks:

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .angular import HalfInt
+from .angular import _TWO_PI, HalfInt, unit_vector
 from .errors import DomainError, ValidationError
 from .tensors import DensityMatrix
 
@@ -39,8 +39,6 @@ TRIPLET_ISOMETRY = np.array(
     ]
 )
 TRIPLET_ISOMETRY.setflags(write=False)
-
-_TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -163,9 +161,7 @@ def _slf_polar_angles(p1: float, p2: float, two_theta: float) -> tuple[float, fl
 
 
 def _polarized_qubit(p: float, polar: float, azimuth: float) -> np.ndarray:
-    nx = p * math.sin(polar) * math.cos(azimuth)
-    ny = p * math.sin(polar) * math.sin(azimuth)
-    nz = p * math.cos(polar)
+    nx, ny, nz = p * unit_vector(polar, azimuth)
     return 0.5 * np.array([[1.0 + nz, nx - 1j * ny], [nx + 1j * ny, 1.0 - nz]])
 
 

@@ -8,13 +8,16 @@ so the complex coefficients t[k,q] (statistical tensor parameters) carry the
 same information as rho, organized by multipole rank k = 0 ... 2j. With the
 unit-trace normalization used throughout this package, t[0,0] = 1, and
 hermiticity of rho is equivalent to t[k,q]* = (-1)^q t[k,-q].
-"""
 
-import math
+``TensorComponents.array`` stores all t[k,q] as one read-only flat complex
+array, k ascending and q descending within each rank, t[k,q] at index
+k^2 + k - q: the layout of the stacked operator basis, so expansion and
+resummation are single array contractions.
+"""
 
 import numpy as np
 
-from .angular import HalfInt, tensor_operator, wigner_D_matrix
+from .angular import HalfInt, _tensor_operator_cached, tensor_index, wigner_D_matrix
 from .errors import DomainError, ValidationError
 
 __all__ = [
@@ -87,65 +90,71 @@ class DensityMatrix:
 class TensorComponents:
     """Statistical tensor parameters t[k,q] for 0 <= k <= 2j, |q| <= k.
 
-    Missing entries default to zero, except t[0,0] which defaults to 1
-    (the unit-trace monopole). Component arrays returned by
-    :meth:`rank_array` are ordered by descending projection q = +k ... -k.
+    Built from a mapping {(k, q): value}, where missing entries default to
+    zero except t[0,0] which defaults to 1 (the unit-trace monopole), or
+    from a flat array of all (2j+1)^2 components. Either way the values are
+    stored in ``array``, read-only, with k ascending and q descending within
+    each rank: t[k,q] sits at index k^2 + k - q. Component arrays returned
+    by :meth:`rank_array` are read-only views ordered q = +k ... -k.
     """
 
-    __slots__ = ("j", "_c")
+    __slots__ = ("j", "array")
 
     def __init__(self, j, components=None):
-        jj = HalfInt.coerce(j)
-        tj = jj.twice
-        data = {}
-        for k in range(tj + 1):
-            for q in range(-k, k + 1):
-                data[(k, q)] = 0j
-        data[(0, 0)] = 1.0 + 0j
-        for key, value in (components or {}).items():
-            k, q = key
-            if not 0 <= k <= tj or abs(q) > k:
-                raise DomainError(f"component (k={k}, q={q}) outside 0 <= k <= 2j, |q| <= k for j={jj}")
-            data[(int(k), int(q))] = complex(value)
-        self.j = jj
-        self._c = data
+        self.j = HalfInt.coerce(j)
+        size = (self.j.twice + 1) ** 2
+        if components is None or hasattr(components, "items"):
+            arr = np.zeros(size, dtype=complex)
+            arr[0] = 1.0
+            for key, value in (components or {}).items():
+                arr[self._index(key)] = complex(value)
+        else:
+            arr = np.array(components, dtype=complex)
+            if arr.shape != (size,):
+                raise DomainError(f"flat components for j={self.j} need shape ({size},), got {arr.shape}")
+        arr.setflags(write=False)
+        self.array = arr
+
+    def _index(self, key) -> int:
+        k, q = key
+        index = tensor_index(k, q)
+        if k > self.j.twice:
+            raise DomainError(f"rank k={k} outside 0 <= k <= 2j for j={self.j}")
+        return index
 
     def __getitem__(self, key) -> complex:
-        return self._c[key]
+        return complex(self.array[self._index(key)])
 
     def items(self):
-        """Iterate ((k, q), value) with k ascending and q descending within each rank."""
-        tj = self.j.twice
-        for k in range(tj + 1):
-            for q in range(k, -k - 1, -1):
-                yield (k, q), self._c[(k, q)]
+        """Iterate ((k, q), value) in array order: k ascending, q descending within each rank."""
+        keys = ((k, q) for k in range(self.j.twice + 1) for q in range(k, -k - 1, -1))
+        return zip(keys, self.array.tolist())
 
     def rank_array(self, k: int) -> np.ndarray:
         if not 0 <= k <= self.j.twice:
             raise DomainError(f"rank k={k} outside 0 <= k <= 2j for j={self.j}")
-        return np.array([self._c[(k, q)] for q in range(k, -k - 1, -1)])
+        return self.array[tensor_index(k, k) : tensor_index(k, -k) + 1]
 
     def rank_norm2(self, k: int) -> float:
         return float(np.sum(np.abs(self.rank_array(k)) ** 2))
 
     def norm2(self) -> float:
         """Sum of |t[k,q]|^2 over every rank and projection."""
-        return float(sum(abs(v) ** 2 for v in self._c.values()))
+        return float(np.sum(np.abs(self.array) ** 2))
 
     def max_conjugation_defect(self) -> float:
         """Largest violation of t[k,q]* = (-1)^q t[k,-q]."""
         worst = 0.0
-        for (k, q), v in self._c.items():
-            if q < 0:
-                continue
-            defect = abs(v.conjugate() - (-1) ** q * self._c[(k, -q)])
-            worst = max(worst, defect)
+        for k in range(self.j.twice + 1):
+            vec = self.rank_array(k)  # q = +k ... -k, so vec[::-1] holds t[k,-q]
+            sign = (-1.0) ** np.arange(k, -k - 1, -1)
+            worst = max(worst, float(np.max(np.abs(vec.conj() - sign * vec[::-1]))))
         return worst
 
     def validate(self, tol: float = CONJUGATION_TOL) -> None:
         """Raise ValidationError unless t[0,0] = 1 and conjugation symmetry holds within tol."""
-        if abs(self._c[(0, 0)] - 1.0) > tol:
-            raise ValidationError(f"t[0,0] must be 1 (unit trace), got {self._c[(0, 0)]:.12g}")
+        if abs(self[0, 0] - 1.0) > tol:
+            raise ValidationError(f"t[0,0] must be 1 (unit trace), got {self[0, 0]:.12g}")
         defect = self.max_conjugation_defect()
         if defect > tol:
             raise ValidationError(f"conjugation symmetry violated by {defect:.3e} (tol {tol:.1e})")
@@ -162,12 +171,8 @@ def to_tensor(rho) -> TensorComponents:
     """
     if not isinstance(rho, DensityMatrix):
         rho = DensityMatrix(rho)
-    tj = rho.j.twice
-    comps = {}
-    for k in range(tj + 1):
-        for q in range(-k, k + 1):
-            comps[(k, q)] = complex(np.einsum("ij,ji->", rho.matrix, tensor_operator(rho.j, k, q)))
-    return TensorComponents(rho.j, comps)
+    basis = _tensor_operator_cached(rho.j.twice)
+    return TensorComponents(rho.j, np.einsum("ij,nji->n", rho.matrix, basis))
 
 
 def from_tensor(t: TensorComponents, *, conj_tol: float = 1e-8) -> DensityMatrix:
@@ -178,10 +183,8 @@ def from_tensor(t: TensorComponents, *, conj_tol: float = 1e-8) -> DensityMatrix
     """
     t.validate(conj_tol)
     dim = t.j.twice + 1
-    acc = np.zeros((dim, dim), dtype=complex)
-    for (k, q), value in t.items():
-        if value != 0:
-            acc += value * tensor_operator(t.j, k, q).conj().T
+    # sum t tau^dag = (sum conj(t) tau)^dag, which needs no conjugated copy of the basis
+    acc = np.tensordot(t.array.conj(), _tensor_operator_cached(t.j.twice), axes=1).conj().T
     return DensityMatrix(acc / dim, t.j, tol=max(conj_tol, HERMITICITY_TOL))
 
 
@@ -191,17 +194,10 @@ def rotate_tensor(t: TensorComponents, phi: float, theta: float, psi: float) -> 
     Each rank rotates independently: t'[k,q] = sum_q' D[k][q',q] t[k,q'],
     which preserves the per-rank norms sum_q |t[k,q]|^2.
     """
-    comps = {}
-    for k in range(t.j.twice + 1):
-        vec = t.rank_array(k)
-        if k == 0:
-            comps[(0, 0)] = complex(vec[0])
-            continue
-        dmat = wigner_D_matrix(k, phi, theta, psi)
-        new = dmat.T @ vec
-        for i in range(2 * k + 1):
-            comps[(k, k - i)] = complex(new[i])
-    return TensorComponents(t.j, comps)
+    blocks = [t.rank_array(0)]
+    for k in range(1, t.j.twice + 1):
+        blocks.append(wigner_D_matrix(k, phi, theta, psi).T @ t.rank_array(k))
+    return TensorComponents(t.j, np.concatenate(blocks))
 
 
 def rotate_density(rho: DensityMatrix, phi: float, theta: float, psi: float) -> DensityMatrix:

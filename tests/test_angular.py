@@ -8,7 +8,6 @@ from sympy.physics.quantum.spin import Rotation as SympyRotation
 
 from spinaxes.angular import (
     HalfInt,
-    SphericalVector,
     clebsch_gordan,
     couple,
     euler_rotation_cartesian,
@@ -18,6 +17,7 @@ from spinaxes.angular import (
     wigner_D_matrix,
     wigner_d_small,
 )
+from spinaxes.axes import Axis
 from spinaxes.errors import DomainError
 
 
@@ -256,8 +256,8 @@ class TestCouple:
         for _ in range(50):
             ta, pa = math.acos(rng.uniform(-1, 1)), rng.uniform(0, 2 * math.pi)
             tb, pb = math.acos(rng.uniform(-1, 1)), rng.uniform(0, 2 * math.pi)
-            va = SphericalVector(ta, pa)
-            vb = SphericalVector(tb, pb)
+            va = Axis(ta, pa)
+            vb = Axis(tb, pb)
             dot = float(np.dot(va.cartesian, vb.cartesian))
             value = couple(va.components, vb.components, 0)[0]
             assert value.real == pytest.approx(-dot / math.sqrt(3), abs=1e-14)
@@ -266,30 +266,3 @@ class TestCouple:
         z = unit_vector_components(0.0, 0.0)
         with pytest.raises(DomainError):
             couple(z, z, 3)
-
-
-class TestSphericalVector:
-    def test_components_formula(self):
-        theta, phi = 0.7, 1.9
-        v = SphericalVector(theta, phi)
-        plus, zero, minus = v.components
-        assert zero == pytest.approx(math.cos(theta))
-        assert plus == pytest.approx(-math.sin(theta) * np.exp(1j * phi) / math.sqrt(2))
-        assert minus == pytest.approx(math.sin(theta) * np.exp(-1j * phi) / math.sqrt(2))
-
-    def test_conjugation_symmetry(self):
-        # rank-1 instance of the tensor conjugation rule: Q_{-q} = (-1)^q conj(Q_q)
-        v = SphericalVector(1.1, 5.0)
-        plus, zero, minus = v.components
-        assert minus == pytest.approx(-np.conj(plus))
-        assert np.conj(zero) == pytest.approx(zero)
-
-    def test_cartesian_round_trip(self):
-        v = SphericalVector(2.2, 0.4)
-        back = SphericalVector.from_cartesian(v.cartesian)
-        assert back.theta == pytest.approx(v.theta)
-        assert back.phi == pytest.approx(v.phi)
-
-    def test_rejects_bad_theta(self):
-        with pytest.raises(DomainError):
-            SphericalVector(4.0, 0.0)

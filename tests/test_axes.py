@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from spinaxes.angular import HalfInt, euler_rotation_cartesian
+from spinaxes.angular import HalfInt, euler_rotation_cartesian, unit_vector
 from spinaxes.axes import (
     Axis,
     build_polynomial,
@@ -31,11 +31,7 @@ def pure_tensor(theta):
 
 
 def points_to_vectors(points):
-    out = []
-    for theta, phi in points:
-        s = math.sin(theta)
-        out.append(np.array([s * math.cos(phi), s * math.sin(phi), math.cos(theta)]))
-    return out
+    return [unit_vector(theta, phi) for theta, phi in points]
 
 
 def match_point_sets(actual, expected, tol):
@@ -71,9 +67,34 @@ class TestAxis:
         assert a.dot(b) == pytest.approx(0.5)
         assert a.angle_to(b) == pytest.approx(math.pi / 3)
 
+    def test_components_formula(self):
+        theta, phi = 0.7, 1.9
+        v = Axis(theta, phi)
+        plus, zero, minus = v.components
+        assert zero == pytest.approx(math.cos(theta))
+        assert plus == pytest.approx(-math.sin(theta) * np.exp(1j * phi) / math.sqrt(2))
+        assert minus == pytest.approx(math.sin(theta) * np.exp(-1j * phi) / math.sqrt(2))
+
+    def test_conjugation_symmetry(self):
+        # rank-1 instance of the tensor conjugation rule: Q_{-q} = (-1)^q conj(Q_q)
+        v = Axis(1.1, 5.0)
+        plus, zero, minus = v.components
+        assert minus == pytest.approx(-np.conj(plus))
+        assert np.conj(zero) == pytest.approx(zero)
+
+    def test_polar_cartesian_round_trip(self):
+        v = Axis(2.2, 0.4)
+        back = Axis.from_cartesian(v.cartesian)
+        assert back.theta == pytest.approx(v.theta)
+        assert back.phi == pytest.approx(v.phi)
+
     def test_rejects_bad_theta(self):
         with pytest.raises(DomainError):
             Axis(3.5, 0.0)
+
+    def test_rejects_theta_above_pi(self):
+        with pytest.raises(DomainError):
+            Axis(4.0, 0.0)
 
 
 class TestBuildPolynomial:

@@ -114,6 +114,18 @@ class TestAnalyze:
         assert code == 2
         assert "line 3" in err
 
+    @pytest.mark.parametrize("text, message", [
+        ("3", "top level must be a JSON object"),
+        ('{"twice_j": "abc", "matrix": []}', "twice_j must be an integer"),
+        ('{"twice_j": -3, "matrix": []}', "twice_j must be non-negative"),
+    ])
+    def test_malformed_json_exit_code(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, out, err = run(capsys, ["analyze", str(path)])
+        assert code == 2
+        assert message in err
+
     def test_missing_file_exit_code(self, capsys):
         code, out, err = run(capsys, ["analyze", "/no/such/file.state"])
         assert code == 2
@@ -159,6 +171,11 @@ class TestMakeState:
         assert code == 0
         assert out.startswith("#")
         assert "j 2" in out
+
+    def test_unparseable_angle_exit_code(self, capsys):
+        code, out, err = run(capsys, ["make-state", "pure", "--theta", "abc"])
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_mixed_equals_closed_form(self, tmp_path, capsys):
         path = tmp_path / "m.state"

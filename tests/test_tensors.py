@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from spinaxes.angular import HalfInt, wigner_D_matrix
+from spinaxes.angular import HalfInt, tensor_operator, wigner_D_matrix
 from spinaxes.errors import DomainError, ValidationError
 from spinaxes.tensors import (
     DensityMatrix,
@@ -77,6 +77,10 @@ class TestTensorComponents:
             TensorComponents(1, {(3, 0): 1.0})
         with pytest.raises(DomainError):
             TensorComponents(1, {(2, 3): 1.0})
+        with pytest.raises(DomainError):
+            TensorComponents(1, {(1.5, 0): 0.7})  # non-integer rank
+        with pytest.raises(DomainError):
+            TensorComponents(1, np.zeros(8))  # spin 1 has 9 components
 
     def test_rank_array_ordering(self):
         t = TensorComponents(1, {(1, 1): 2.0, (1, 0): 3.0, (1, -1): 4.0})
@@ -91,6 +95,33 @@ class TestTensorComponents:
         t = TensorComponents(1, {(0, 0): 0.5})
         with pytest.raises(ValidationError):
             t.validate()
+
+
+@pytest.mark.parametrize("twice_j", [1, 2, 5, 16])
+class TestFlatLayout:
+    def test_index_matches_keys(self, twice_j):
+        t = random_tensor_components(HalfInt(twice_j), np.random.default_rng(twice_j))
+        assert t.array.shape == ((twice_j + 1) ** 2,)
+        for k in range(twice_j + 1):
+            for q in range(-k, k + 1):
+                assert t.array[k * k + k - q] == t[k, q]
+
+    def test_items_follow_array_order(self, twice_j):
+        t = random_tensor_components(HalfInt(twice_j), np.random.default_rng(twice_j))
+        keys = [key for key, _ in t.items()]
+        assert keys == [(k, q) for k in range(twice_j + 1) for q in range(k, -k - 1, -1)]
+        assert [value for _, value in t.items()] == list(t.array)
+
+    def test_to_tensor_equals_per_operator_traces(self, twice_j):
+        rho = random_state(np.random.default_rng(twice_j), twice_j + 1)
+        t = to_tensor(rho)
+        for (k, q), value in t.items():
+            assert value == np.einsum("ij,ji->", rho.matrix, tensor_operator(rho.j, k, q))
+
+    def test_array_is_read_only(self, twice_j):
+        t = TensorComponents(HalfInt(twice_j))
+        with pytest.raises(ValueError):
+            t.array[0] = 2.0
 
 
 class TestToTensor:
