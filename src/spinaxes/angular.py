@@ -56,6 +56,12 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi
 
 
+def _wrap_azimuth(phi: float) -> float:
+    """Azimuth in [0, 2 pi); fp wraparound of azimuths a hair below zero maps to 0."""
+    phi = phi % _TWO_PI
+    return 0.0 if _TWO_PI - phi < 1e-12 else phi
+
+
 @dataclass(frozen=True, order=True)
 class HalfInt:
     """Exact integer or half-integer quantum number, stored as twice its value."""

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angular import _TWO_PI, HalfInt, angle_between, couple, unit_vector, unit_vector_components
+from .angular import _TWO_PI, HalfInt, _wrap_azimuth, angle_between, couple, unit_vector, unit_vector_components
 from .errors import DecompositionError, DomainError
 from .tensors import TensorComponents
 
@@ -61,10 +61,7 @@ class Axis:
         if not -1e-9 <= self.theta <= math.pi + 1e-9:
             raise DomainError(f"theta={self.theta} outside [0, pi]")
         object.__setattr__(self, "theta", min(max(self.theta, 0.0), math.pi))
-        phi = self.phi % _TWO_PI
-        if _TWO_PI - phi < 1e-12:  # fp wraparound of azimuths a hair below zero
-            phi = 0.0
-        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "phi", _wrap_azimuth(self.phi))
 
     @classmethod
     def from_cartesian(cls, vec) -> "Axis":
@@ -201,16 +198,18 @@ def solve_axes(poly: RankPolynomial) -> list[tuple[float, float]]:
         raise DecompositionError(
             f"root solver did not converge for rank {poly.k} (coefficients {coeffs!r})"
         ) from exc
+    roots = roots[np.lexsort((roots.imag, roots.real))]
     scale = float(np.max(np.abs(coeffs)))
-    for z in sorted(roots, key=lambda w: (w.real, w.imag)):
-        value = abs(np.polyval(highest_first, z))
-        bound = ROOT_RESIDUAL_TOL * scale * (degree + 1) * max(1.0, abs(z)) ** degree
-        if value > bound:
-            raise DecompositionError(
-                f"root {z!r} of the rank-{poly.k} polynomial has residual {value:.3e} "
-                f"(bound {bound:.3e})"
-            )
-        points.append(_root_point(complex(z)))
+    values = np.abs(np.polyval(highest_first, roots))
+    bounds = ROOT_RESIDUAL_TOL * scale * (degree + 1) * np.maximum(1.0, np.abs(roots)) ** degree
+    bad = np.flatnonzero(values > bounds)
+    if bad.size:
+        i = bad[0]
+        raise DecompositionError(
+            f"root {roots[i]!r} of the rank-{poly.k} polynomial has residual {values[i]:.3e} "
+            f"(bound {bounds[i]:.3e})"
+        )
+    points.extend(_root_point(complex(z)) for z in roots)
     return points
 
 
@@ -224,48 +223,39 @@ def _canonical_rep(u: np.ndarray) -> np.ndarray:
     return u
 
 
-def _max_cluster_size(vecs: list[np.ndarray], width: float = 1e-3) -> int:
-    worst = 1
-    for i, v in enumerate(vecs):
-        count = sum(1 for w in vecs if angle_between(v, w) < width)
-        worst = max(worst, count)
-    return worst
-
-
 def pair_and_canonicalize(points, *, tol: float = PAIRING_TOL) -> list[Axis]:
     """Match the 2k root points into antipodal pairs and pick one axis per pair.
 
-    Greedy nearest-antipode matching. An m-fold root cluster is only accurate
-    to about eps^(1/m), so the matching tolerance widens accordingly. The
-    representative is the pair member with z > 0 (ties broken by x, then y),
-    and the result is sorted by (theta, phi). Unpairable points signal a
-    conjugation-symmetry violation upstream and raise DecompositionError.
+    Greedy nearest-antipode matching: each round takes the first row-major
+    minimum of atan2(|v_i x v_j|, -v_i . v_j) over unmatched pairs i < j. An
+    m-fold root cluster is only accurate to about eps^(1/m), so the matching
+    tolerance widens accordingly. The representative is the pair member with
+    z > 0 (ties broken by x, then y), and the result is sorted by (theta, phi).
+    Unpairable points signal a conjugation-symmetry violation upstream and
+    raise DecompositionError.
     """
     pts = list(points)
     if len(pts) % 2:
         raise DecompositionError(f"expected an even number of root points, got {len(pts)}")
-    vecs = [unit_vector(theta, phi) for theta, phi in pts]
-    eff_tol = max(tol, 100.0 * _EPS ** (1.0 / _max_cluster_size(vecs)))
-    remaining = list(range(len(vecs)))
+    vecs = np.array([unit_vector(theta, phi) for theta, phi in pts]).reshape(-1, 3)
+    cross = np.linalg.norm(np.cross(vecs[:, None, :], vecs[None, :, :]), axis=-1)
+    dots = vecs @ vecs.T
+    # largest number of points within 1e-3 rad of one point, itself included
+    cluster = int(np.sum(np.arctan2(cross, dots) < 1e-3, axis=1).max(initial=1))
+    eff_tol = max(tol, 100.0 * _EPS ** (1.0 / cluster))
+    mismatch = np.arctan2(cross, -dots)
+    mismatch[np.tril_indices(len(pts))] = np.inf  # only pairs i < j
     axes = []
-    while remaining:
-        best = None
-        for a in range(len(remaining)):
-            for b in range(a + 1, len(remaining)):
-                i, j = remaining[a], remaining[b]
-                ang = angle_between(vecs[i], -vecs[j])
-                if best is None or ang < best[0]:
-                    best = (ang, a, b)
-        ang, a, b = best
+    for _ in range(len(pts) // 2):
+        i, j = np.unravel_index(np.argmin(mismatch), mismatch.shape)
+        ang = mismatch[i, j]
         if ang > eff_tol:
-            i = remaining[a]
             raise DecompositionError(
                 f"root point {pts[i]} has no antipodal partner "
                 f"(best mismatch {ang:.3e} rad > {eff_tol:.3e}); "
                 "the input tensor likely violates conjugation symmetry"
             )
-        i, j = remaining[a], remaining[b]
-        del remaining[b], remaining[a]
+        mismatch[[i, j], :] = mismatch[:, [i, j]] = np.inf
         mean = vecs[i] - vecs[j]  # averages out opposite-signed root noise
         mean /= np.linalg.norm(mean)
         axes.append(Axis.from_cartesian(_canonical_rep(mean)))

@@ -306,19 +306,20 @@ def cmd_sweep(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     lines = [CSV_COLUMNS]
-    try:
-        for p in p_values:
-            for theta in theta_values:
+    for p in p_values:
+        for theta in theta_values:
+            try:
                 row = sweep_row(float(p), float(theta))
-                lines.append(",".join(
-                    [_fmt(row["p"]), _fmt(row["theta"])]
-                    + [_fmt(row[k]) for k in ("I1", "I2", "I3", "I4", "I5")]
-                    + [_fmt(abs(row[k])) for k in ("I3", "I4", "I5")]
-                    + [_fmt(row["ppt_min_eig"]), "true" if row["separable"] else "false"]
-                ))
-    except (DecompositionError, ValidationError) as exc:
-        print(f"error: decomposition failed during sweep: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+            except (DecompositionError, ValidationError) as exc:
+                print(f"error: decomposition failed during sweep at p={_fmt(float(p))}, "
+                      f"theta={_fmt(float(theta))}: {exc}", file=sys.stderr)
+                return EXIT_NUMERIC
+            lines.append(",".join(
+                [_fmt(row["p"]), _fmt(row["theta"])]
+                + [_fmt(row[k]) for k in ("I1", "I2", "I3", "I4", "I5")]
+                + [_fmt(abs(row[k])) for k in ("I3", "I4", "I5")]
+                + [_fmt(row["ppt_min_eig"]), "true" if row["separable"] else "false"]
+            ))
     text = "\n".join(lines) + "\n"
     try:
         with open(args.out, "w", encoding="utf-8") as handle:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angular import _TWO_PI, HalfInt, couple, euler_rotation_cartesian
+from .angular import _TWO_PI, HalfInt, clebsch_gordan, euler_rotation_cartesian
 from .axes import MultiaxialForm, decompose
 from .errors import DomainError
 from .tensors import DensityMatrix, rotate_tensor, to_tensor
@@ -67,16 +67,18 @@ def enumerate_invariants(form: MultiaxialForm) -> InvariantSet:
     """
     labeled = form.labeled_axes()
     labels = tuple(lbl for lbl, _ in labeled)
-    pairwise = []
     n = len(labeled)
-    abs_cos = np.eye(n)
-    for a in range(n):
-        la, ax_a = labeled[a]
-        for b in range(a + 1, n):
-            lb, ax_b = labeled[b]
-            value = float(couple(ax_a.components, ax_b.components, 0)[0].real)
-            pairwise.append((la, lb, value))
-            abs_cos[a, b] = abs_cos[b, a] = abs(ax_a.dot(ax_b))
+    comps = np.array([ax.components for _, ax in labeled]).reshape(n, 3)
+    coupled = np.zeros((n, n), dtype=complex)
+    # couple(a, b, 0)[0] for every pair, summed in couple's order: sum_q C(1 1 0; q -q 0) a_q b_-q
+    for i, q in enumerate((1, 0, -1)):
+        coupled += (clebsch_gordan(1, 1, 0, q, -q, 0) * comps[:, i])[:, None] * comps[None, :, 2 - i]
+    rows, cols = np.triu_indices(n, 1)
+    values = coupled.real[rows, cols].tolist()
+    pairwise = [(labels[a], labels[b], v) for a, b, v in zip(rows.tolist(), cols.tolist(), values)]
+    vecs = np.array([ax.cartesian for _, ax in labeled]).reshape(n, 3)
+    abs_cos = np.abs(vecs @ vecs.T)
+    np.fill_diagonal(abs_cos, 1.0)
     scalars = form.scalars
     abs_cos.setflags(write=False)
     return InvariantSet(

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .angular import _TWO_PI, HalfInt, unit_vector
+from .angular import _TWO_PI, HalfInt, _wrap_azimuth, unit_vector
 from .errors import DomainError, ValidationError
 from .tensors import DensityMatrix
 
@@ -52,7 +52,7 @@ class Spinor:
         if not -1e-12 <= self.theta <= math.pi + 1e-12:
             raise DomainError(f"theta={self.theta} outside [0, pi]")
         object.__setattr__(self, "theta", min(max(self.theta, 0.0), math.pi))
-        object.__setattr__(self, "phi", self.phi % _TWO_PI)
+        object.__setattr__(self, "phi", _wrap_azimuth(self.phi))
 
     @property
     def amplitudes(self) -> np.ndarray:

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from spinaxes.angular import HalfInt, euler_rotation_cartesian, unit_vector
+from spinaxes.angular import HalfInt, angle_between, euler_rotation_cartesian, unit_vector
 from spinaxes.axes import (
+    PAIRING_TOL,
     Axis,
+    _canonical_rep,
     build_polynomial,
     coupled_axes_tensor,
     decompose,
@@ -15,7 +17,7 @@ from spinaxes.axes import (
     solve_axes,
 )
 from spinaxes.errors import DecompositionError, DomainError
-from spinaxes.states import pure_two_spinor
+from spinaxes.states import Spinor, pure_two_spinor, symmetrize_pure
 from spinaxes.tensors import (
     DensityMatrix,
     TensorComponents,
@@ -196,6 +198,114 @@ class TestPairAndCanonicalize:
         for ax in dec.axes:
             assert ax.angle_to(axis) < 1e-6
         assert dec.r == pytest.approx(0.7, abs=1e-7)
+
+
+def reference_pairing(points, tol=PAIRING_TOL):
+    """The O(n^3) per-pair greedy loop that pair_and_canonicalize replaced, kept as its oracle."""
+    pts = list(points)
+    if len(pts) % 2:
+        raise DecompositionError(f"expected an even number of root points, got {len(pts)}")
+    vecs = [unit_vector(theta, phi) for theta, phi in pts]
+    cluster = max([1] + [sum(1 for w in vecs if angle_between(v, w) < 1e-3) for v in vecs])
+    eff_tol = max(tol, 100.0 * np.finfo(float).eps ** (1.0 / cluster))
+    remaining = list(range(len(vecs)))
+    axes = []
+    while remaining:
+        best = None
+        for a in range(len(remaining)):
+            for b in range(a + 1, len(remaining)):
+                i, j = remaining[a], remaining[b]
+                ang = angle_between(vecs[i], -vecs[j])
+                if best is None or ang < best[0]:
+                    best = (ang, a, b)
+        ang, a, b = best
+        if ang > eff_tol:
+            i = remaining[a]
+            raise DecompositionError(
+                f"root point {pts[i]} has no antipodal partner "
+                f"(best mismatch {ang:.3e} rad > {eff_tol:.3e}); "
+                "the input tensor likely violates conjugation symmetry"
+            )
+        i, j = remaining[a], remaining[b]
+        del remaining[b], remaining[a]
+        mean = vecs[i] - vecs[j]
+        mean /= np.linalg.norm(mean)
+        axes.append(Axis.from_cartesian(_canonical_rep(mean)))
+    axes.sort(key=lambda ax: (round(ax.theta, 9), round(ax.phi, 9), ax.theta, ax.phi))
+    return axes
+
+
+def outcome(fn, points):
+    """Axes on success; on failure the error message up to its mismatch figures."""
+    try:
+        return fn(points)
+    except DecompositionError as exc:
+        return ("raised", str(exc).partition("(best mismatch")[0])
+
+
+def root_point_sets(t):
+    for k in range(1, t.j.twice + 1):
+        poly = build_polynomial(t, k)
+        if poly is not None:
+            yield solve_axes(poly)
+
+
+class TestPairingMatchesReferenceLoop:
+    def assert_same(self, points):
+        expected = outcome(reference_pairing, points)
+        assert outcome(pair_and_canonicalize, points) == expected
+        return expected
+
+    def test_seeded_random_tensors(self):
+        rng = np.random.default_rng(31)
+        for tj in (1, 2, 3, 5, 8, 12, 16):
+            t = random_tensor_components(HalfInt(tj), rng)
+            phi, psi = rng.uniform(0, 2 * math.pi, size=2)
+            theta = math.acos(rng.uniform(-1, 1))
+            for tensor in (t, rotate_tensor(t, phi, theta, psi)):
+                for points in root_point_sets(tensor):
+                    assert isinstance(self.assert_same(points), list)
+
+    def test_coincident_axes(self):
+        a, b, c = Axis(0.6, 1.2), Axis(2.1, 4.0), Axis(1.3, 0.2)
+        for axes in ([a, a], [a, a, b], [a, a, a], [a, a, a, b], [a, a, b, b, c]):
+            k = len(axes)
+            prod = 0.7 * coupled_axes_tensor(axes)
+            t = TensorComponents(HalfInt(k), {(k, q): prod[k - q] for q in range(-k, k + 1)})
+            for points in root_point_sets(t):
+                self.assert_same(points)
+        rng = np.random.default_rng(33)
+        for m in (2, 3):  # shuffled m-fold antipodal clusters with 1e-9 noise
+            for _ in range(10):
+                centres = [rng.normal(size=3) for _ in range(2)]
+                vecs = [s * c / np.linalg.norm(c) + 1e-9 * rng.normal(size=3)
+                        for c in centres for s in (1, -1) for _ in range(m)]
+                points = [(ax.theta, ax.phi) for ax in map(Axis.from_cartesian, vecs)]
+                rng.shuffle(points)
+                self.assert_same(points)
+        for tj in (4, 5, 6):  # coherent states: one tj-fold root per rank; off the z-axis some raise
+            rho = symmetrize_pure([Spinor(0.7, 2.3)] * tj)
+            for points in root_point_sets(to_tensor(rho)):
+                self.assert_same(points)
+
+    def test_exact_ties_keep_scan_order(self):
+        # the north pole is equally far from the antipodes of both southern points
+        eps = 1e-7
+        points = [(0.0, 0.0), (eps, math.pi / 2), (math.pi - eps, 0.0), (math.pi - eps, math.pi)]
+        axes = self.assert_same(points)  # pairs (0, 2) and (1, 3); taking (0, 3) first gives 0 and 3 pi/4
+        assert [ax.phi for ax in axes] == pytest.approx([math.pi, math.pi / 4], abs=1e-6)
+
+    def test_points_without_antipodal_partner(self):
+        rng = np.random.default_rng(32)
+        for n in (2, 4, 6, 10):
+            points = [(math.acos(rng.uniform(-1, 1)), rng.uniform(0, 2 * math.pi)) for _ in range(n)]
+            assert self.assert_same(points)[0] == "raised"
+        theta, phi = 0.9, 0.4
+        paired = [(theta, phi), (math.pi - theta, phi + math.pi)]
+        assert self.assert_same(paired + [(0.3, 0.0), (0.4, 1.0)])[0] == "raised"
+
+    def test_empty_point_list(self):
+        assert pair_and_canonicalize([]) == []
 
 
 class TestScalarR:

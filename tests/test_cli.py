@@ -223,6 +223,23 @@ class TestSweep:
         code, out, err = run(capsys, ["sweep", "--p", "zero:1:2", "--theta", "0:1:2", "--out", "x.csv"])
         assert code == 2
 
+    def test_failing_cell_is_named(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        real = cli.decompose
+
+        def fail_third_cell(t):
+            calls.append(t)
+            if len(calls) == 3:
+                raise DecompositionError("synthetic failure")
+            return real(t)
+
+        monkeypatch.setattr(cli, "decompose", fail_third_cell)
+        out = tmp_path / "grid.csv"
+        code, _, err = run(capsys, ["sweep", "--p", "0:1:2", "--theta", "0:0.5:2", "--out", str(out)])
+        assert code == 3
+        assert err == "error: decomposition failed during sweep at p=1, theta=0: synthetic failure\n"
+        assert not out.exists()
+
 
 class TestSelfcheck:
     def test_passes_with_seed(self, capsys):

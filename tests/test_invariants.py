@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from spinaxes.angular import couple
 from spinaxes.axes import decompose
 from spinaxes.errors import DomainError
 from spinaxes.invariants import (
@@ -93,6 +94,27 @@ class TestEnumerate:
                 assert -1 / SQRT3 - 1e-12 <= value <= 1 / SQRT3 + 1e-12
                 ia, ib = labeled[la], labeled[lb]
                 assert abs(value) * SQRT3 == pytest.approx(inv.abs_cosines[ia, ib], abs=1e-12)
+
+    def test_matches_per_pair_coupling(self):
+        rng = np.random.default_rng(33)
+        for tj in (1, 2, 5, 12, 16):
+            form = decompose(to_tensor(random_density_matrix(tj / 2, rng)))
+            inv = enumerate_invariants(form)
+            labeled = form.labeled_axes()
+            assert inv.axis_labels == tuple(lbl for lbl, _ in labeled)
+            pairs = [(a, b) for a in range(len(labeled)) for b in range(a + 1, len(labeled))]
+            assert [(la, lb) for la, lb, _ in inv.pairwise] == [(labeled[a][0], labeled[b][0]) for a, b in pairs]
+            for (a, b), (_, _, value) in zip(pairs, inv.pairwise):
+                qa, qb = labeled[a][1], labeled[b][1]
+                assert type(value) is float
+                assert abs(value - couple(qa.components, qb.components, 0)[0].real) <= 4e-16
+                assert abs(inv.abs_cosines[a, b] - abs(qa.dot(qb))) <= 4e-16
+            cos = inv.abs_cosines
+            assert np.array_equal(np.diag(cos), np.ones(len(labeled)))
+            assert np.array_equal(cos, cos.T)
+            with pytest.raises(ValueError):
+                cos[0, 0] = 0.5
+            assert inv.count == len(inv.scalars) + len(inv.pairwise)
 
     def test_parallel_axes_saturate(self):
         inv = pipeline(pure_two_spinor(0.0))  # all axes along +z

@@ -175,6 +175,13 @@ class TestPptSeparable:
             ppt_separable(random_density_matrix(1.5, rng))
 
 
+class TestSpinor:
+    def test_azimuth_a_hair_below_zero_wraps_to_zero(self):
+        assert Spinor(0.5, -1e-17).phi == 0.0
+        assert Spinor(0.5, -0.25).phi == pytest.approx(2 * math.pi - 0.25, abs=1e-15)
+        assert np.array_equal(Spinor(0.5, -1e-17).amplitudes, Spinor(0.5, 0.0).amplitudes)
+
+
 class TestRandomDensityMatrix:
     def test_reproducible_and_valid(self):
         a = random_density_matrix(1.5, np.random.default_rng(44))
