@@ -4,10 +4,15 @@ Clebsch-Gordan coefficients and Wigner d/D rotation matrices are evaluated
 from their exact finite-sum expressions with integer factorial arithmetic,
 which keeps them accurate to a few ulp for the quantum numbers used here
 (j up to ~10, far past catastrophic-cancellation territory for naive float
-factorials). On top of these sit the irreducible tensor operators
-normalized to ``Tr(tau[k,q]^dag tau[k',q']) = (2j+1) delta_kk' delta_qq'``,
-spherical (rank-1) components of unit vectors, and Clebsch-Gordan coupling
-of spherical tensors.
+factorials). The full D matrix uses the same Wigner sum as a linear map:
+the coefficients of every element over the monomials
+cos(theta/2)^(2j-n) sin(theta/2)^n are built once per j from exact
+factorials and cached, so one D matrix is a single contraction of that table
+with the monomial vector, times two phase vectors. On top of these sit the
+irreducible tensor operators normalized to
+``Tr(tau[k,q]^dag tau[k',q']) = (2j+1) delta_kk' delta_qq'``, spherical
+(rank-1) components of unit vectors, and Clebsch-Gordan coupling of
+spherical tensors.
 
 Conventions
 -----------
@@ -223,16 +228,47 @@ def wigner_D(k, qp, q, phi: float, theta: float, psi: float) -> complex:
     )
 
 
+@lru_cache(maxsize=None)
+def _wigner_d_table(tj: int) -> np.ndarray:
+    """Read-only ((2j+1)^2, 2j+1) table of Wigner-sum coefficients for j = tj/2.
+
+    Term k of d^j_{m',m}(theta) is a coefficient times the monomial
+    cos(theta/2)^(2j-n) sin(theta/2)^n with n = m' - m + 2k, distinct for each
+    k, so row r * (2j+1) + c (element r, c of d, ordered m = +j ... -j) holds
+    that element's coefficient of each monomial n. Each coefficient is the
+    square root of an exact rational built from integer factorials, so the
+    theta = 0 diagonal is exactly 1.
+    """
+    dim = tj + 1
+    f = math.factorial
+    table = np.zeros((dim * dim, dim))
+    for r, tmp in enumerate(range(tj, -tj - 2, -2)):
+        for c, tm in enumerate(range(tj, -tj - 2, -2)):
+            jm, jmm = (tj + tm) // 2, (tj - tm) // 2
+            jmp, jmmp = (tj + tmp) // 2, (tj - tmp) // 2
+            mu = (tmp - tm) // 2  # m' - m
+            pref2 = f(jmp) * f(jmmp) * f(jm) * f(jmm)
+            for k in range(max(0, -mu), min(jm, jmmp) + 1):
+                denom = f(jm - k) * f(k) * f(mu + k) * f(jmmp - k)
+                table[r * dim + c, mu + 2 * k] = (-1) ** (mu + k) * math.sqrt(Fraction(pref2, denom * denom))
+    table.setflags(write=False)
+    return table
+
+
 def wigner_D_matrix(j, phi: float, theta: float, psi: float) -> np.ndarray:
     """Full (2j+1) x (2j+1) Wigner D matrix, rows/columns ordered m = +j ... -j."""
     tj = _twice(j)
+    if tj < 0:
+        raise DomainError(f"angular momentum must be non-negative, got j={HalfInt(tj)}")
     dim = tj + 1
-    out = np.empty((dim, dim), dtype=complex)
-    proj = [HalfInt(t) for t in range(tj, -tj - 2, -2)]
-    for r, mp in enumerate(proj):
-        for c, m in enumerate(proj):
-            out[r, c] = wigner_D(HalfInt(tj), mp, m, phi, theta, psi)
-    return out
+    powers = np.arange(dim)
+    mono = math.cos(theta / 2.0) ** powers[::-1] * math.sin(theta / 2.0) ** powers
+    # einsum, not the BLAS matrix-vector product: near theta = pi/2 at 2j = 32
+    # the terms reach 1e4 and cancel, and the BLAS summation order loses about
+    # twice as much there
+    d = np.einsum("en,n->e", _wigner_d_table(tj), mono).reshape(dim, dim)
+    m = np.arange(tj, -tj - 2, -2) / 2.0
+    return np.exp(-1j * m * phi)[:, None] * d * np.exp(-1j * m * psi)[None, :]
 
 
 def tensor_index(k: int, q: int) -> int:

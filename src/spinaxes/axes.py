@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angular import _TWO_PI, HalfInt, _wrap_azimuth, angle_between, couple, unit_vector, unit_vector_components
+from .angular import HalfInt, _wrap_azimuth, angle_between, couple, unit_vector, unit_vector_components
 from .errors import DecompositionError, DomainError
 from .tensors import TensorComponents
 
@@ -174,7 +174,7 @@ def build_polynomial(t: TensorComponents, k: int):
 
 def _root_point(z: complex) -> tuple[float, float]:
     theta = 2.0 * math.atan2(1.0, abs(z))
-    phi = 0.0 if z == 0 else (-cmath.phase(z)) % _TWO_PI
+    phi = 0.0 if z == 0 else _wrap_azimuth(-cmath.phase(z))
     return (theta, phi)
 
 

@@ -142,10 +142,30 @@ class TestWignerD:
 
     def test_small_d_unitarity(self):
         rng = np.random.default_rng(2)
-        for tj in (1, 2, 3, 4, 6):
+        for tj in (1, 2, 3, 4, 6, 24, 32):
             theta = float(rng.uniform(0, math.pi))
             d = wigner_D_matrix(HalfInt(tj), 0.0, theta, 0.0).real
             assert np.max(np.abs(d @ d.T - np.eye(tj + 1))) < 1e-12
+
+    def test_matrix_matches_scalar_elements(self):
+        rng = np.random.default_rng(7)
+        for tj in range(33):
+            phi, psi = rng.uniform(0, 2 * math.pi, size=2)
+            theta = float(rng.uniform(0, math.pi))
+            proj = [HalfInt(t) for t in range(tj, -tj - 2, -2)]
+            expected = np.array([[wigner_D(HalfInt(tj), mp, m, phi, theta, psi) for m in proj] for mp in proj])
+            got = wigner_D_matrix(HalfInt(tj), phi, theta, psi)
+            assert np.max(np.abs(got - expected)) < (1e-14 if tj <= 16 else 1e-12)
+
+    def test_matrix_zero_angles_is_exact_identity(self):
+        for tj in range(33):
+            assert np.array_equal(wigner_D_matrix(HalfInt(tj), 0.0, 0.0, 0.0), np.eye(tj + 1))
+
+    def test_matrix_rejects_negative_j(self):
+        with pytest.raises(DomainError):
+            wigner_D_matrix(-1, 0.0, 0.5, 0.0)
+        with pytest.raises(DomainError):
+            wigner_D_matrix(HalfInt(-1), 0.0, 0.5, 0.0)
 
     def test_capital_d_identity_and_zero_row(self):
         assert wigner_D(2, 1, 1, 0, 0, 0) == pytest.approx(1.0)

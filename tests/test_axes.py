@@ -8,6 +8,7 @@ from spinaxes.axes import (
     PAIRING_TOL,
     Axis,
     _canonical_rep,
+    _root_point,
     build_polynomial,
     coupled_axes_tensor,
     decompose,
@@ -148,6 +149,12 @@ class TestSolveAxes:
         points = solve_axes(build_polynomial(pure_tensor(theta), 2))
         expected = [(theta, 0.0), (theta, math.pi), (math.pi - theta, 0.0), (math.pi - theta, math.pi)]
         match_point_sets(points_to_vectors(points), expected, 1e-9)
+
+    def test_root_azimuth_a_hair_below_zero_wraps_to_zero(self):
+        assert _root_point(complex(1, 1e-17)) == (math.pi / 2, 0.0)
+        rng = np.random.default_rng(22)
+        for z in rng.normal(size=50) + 1j * rng.normal(size=50):
+            assert 0.0 <= _root_point(complex(z))[1] < 2 * math.pi
 
     def test_antipodal_closure(self):
         rng = np.random.default_rng(21)

@@ -235,7 +235,7 @@ class TestRotateTensor:
         # rotating the components must agree with conjugating the matrix by
         # the spin-j rotation: rho' = U^dag rho U
         rng = np.random.default_rng(14)
-        for dim in (2, 3, 4):
+        for dim in (2, 3, 4, 17):
             rho = random_state(rng, dim)
             angles = rng.uniform(0.1, 3.0, size=3)
             t_rot = rotate_tensor(to_tensor(rho), *angles)
