@@ -26,6 +26,7 @@ from .axes import (
     build_polynomial,
     coupled_axes_tensor,
     decompose,
+    decompose_many,
     pair_and_canonicalize,
     reconstruct_tensor,
     scalar_r,
@@ -85,6 +86,7 @@ __all__ = [
     "couple",
     "coupled_axes_tensor",
     "decompose",
+    "decompose_many",
     "enumerate_invariants",
     "euler_rotation_cartesian",
     "from_tensor",

@@ -85,18 +85,23 @@ class HalfInt:
         if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
             return cls(2 * int(value))
         if isinstance(value, float):
+            if not math.isfinite(value):
+                raise DomainError(f"{value!r} is not an integer or half-integer")
             twice = round(2.0 * value)
             if abs(2.0 * value - twice) > 1e-9:
                 raise DomainError(f"{value!r} is not an integer or half-integer")
             return cls(twice)
         if isinstance(value, str):
             text = value.strip()
-            if "/" in text:
-                num, _, den = text.partition("/")
-                if den.strip() != "2":
-                    raise DomainError(f"cannot parse {value!r} as a half-integer")
-                return cls(int(num))
-            return cls.coerce(float(text))
+            num, slash, den = text.partition("/")
+            try:
+                if not slash:
+                    return cls.coerce(float(text))
+                if den.strip() == "2":
+                    return cls(int(num))
+            except ValueError:
+                pass
+            raise DomainError(f"cannot parse {value!r} as a half-integer")
         raise DomainError(f"cannot interpret {value!r} as a half-integer")
 
     @property
@@ -312,32 +317,65 @@ def tensor_operator(j, k: int, q: int) -> np.ndarray:
     return _tensor_operator_cached(tj)[index]
 
 
+@lru_cache(maxsize=None)
+def _couple_table(k1: int, k2: int, rank: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only terms of :func:`couple` as gather tables, one row per output q = +rank ... -rank.
+
+    Row r lists the nonzero C(k1 k2 K; q1 q2 q) with their positions in a and
+    b, in the order of a scan over a, then b. Shorter rows are padded at the
+    front with zero-weight terms, which leave the zero-started sums unchanged.
+    """
+    terms = [[] for _ in range(2 * rank + 1)]
+    for i1 in range(2 * k1 + 1):
+        for i2 in range(2 * k2 + 1):
+            q = k1 - i1 + k2 - i2
+            if abs(q) <= rank:
+                cg = _cg_exact(2 * k1, 2 * k2, 2 * rank, 2 * (k1 - i1), 2 * (k2 - i2), 2 * q)
+                if cg:
+                    terms[rank - q].append((i1, i2, cg))
+    width = max(len(row) for row in terms)
+    padded = np.array([[(0, 0, 0.0)] * (width - len(row)) + row for row in terms])
+    tables = (padded[..., 0].astype(np.intp), padded[..., 1].astype(np.intp), padded[..., 2].astype(complex))
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
 def couple(a, b, rank: int) -> np.ndarray:
     """Clebsch-Gordan coupling of two spherical tensors to a tensor of the given rank.
 
-    Input/output component arrays are ordered by descending projection.
-    The q component of the output is sum_{q1+q2=q} C(k1 k2 K; q1 q2 q) a_q1 b_q2.
+    Component arrays are ordered by descending projection along their last
+    axis; leading axes are batch axes and broadcast. The q component of the
+    output is sum_{q1+q2=q} C(k1 k2 K; q1 q2 q) a_q1 b_q2.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    if a.ndim != 1 or b.ndim != 1 or a.size % 2 == 0 or b.size % 2 == 0:
-        raise DomainError("spherical tensor component arrays must be 1-d with odd length")
-    k1 = (a.size - 1) // 2
-    k2 = (b.size - 1) // 2
+    if a.ndim == 0 or b.ndim == 0 or a.shape[-1] % 2 == 0 or b.shape[-1] % 2 == 0:
+        raise DomainError("spherical tensor component arrays need an odd length along their last axis")
+    k1 = (a.shape[-1] - 1) // 2
+    k2 = (b.shape[-1] - 1) // 2
     if not abs(k1 - k2) <= rank <= k1 + k2:
         raise DomainError(f"rank {rank} violates the triangle rule for inputs of rank {k1}, {k2}")
-    out = np.zeros(2 * rank + 1, dtype=complex)
-    for i1 in range(a.size):
-        q1 = k1 - i1
-        for i2 in range(b.size):
-            q2 = k2 - i2
-            q = q1 + q2
-            if abs(q) > rank:
-                continue
-            cg = _cg_exact(2 * k1, 2 * k2, 2 * rank, 2 * q1, 2 * q2, 2 * q)
-            if cg:
-                out[rank - q] += cg * a[i1] * b[i2]
+    i1, i2, weight = _couple_table(k1, k2, rank)
+    x, y = weight * a[..., i1], b[..., i2]  # exact as in the scalar product: one factor is real
+    # (cg a_q1) b_q2 with the real and imaginary parts written out: numpy's
+    # complex array product may fuse multiply-adds, its scalar product does not
+    terms = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=complex)
+    np.subtract(x.real * y.real, x.imag * y.imag, out=terms.real)
+    np.add(x.real * y.imag, x.imag * y.real, out=terms.imag)
+    out = 0.0  # summed from zero in scan order, as a scalar accumulator would
+    for t in range(terms.shape[-1]):
+        out = out + terms[..., t]
     return out
+
+
+def _spherical_components(theta: float, phi: float) -> tuple[complex, complex, complex]:
+    s = math.sin(theta)
+    return (
+        -s * cmath.exp(1j * phi) / math.sqrt(2.0),
+        complex(math.cos(theta)),
+        s * cmath.exp(-1j * phi) / math.sqrt(2.0),
+    )
 
 
 def unit_vector_components(theta: float, phi: float) -> np.ndarray:
@@ -346,20 +384,17 @@ def unit_vector_components(theta: float, phi: float) -> np.ndarray:
     Ordered (+1, 0, -1): Q_0 = cos(theta), Q_{+-1} = -+ sin(theta) exp(+-i phi) / sqrt(2),
     i.e. sqrt(4 pi / 3) Y_{1q}(theta, phi).
     """
+    return np.array(_spherical_components(theta, phi))
+
+
+def _cartesian(theta: float, phi: float) -> tuple[float, float, float]:
     s = math.sin(theta)
-    return np.array(
-        [
-            -s * cmath.exp(1j * phi) / math.sqrt(2.0),
-            complex(math.cos(theta)),
-            s * cmath.exp(-1j * phi) / math.sqrt(2.0),
-        ]
-    )
+    return (s * math.cos(phi), s * math.sin(phi), math.cos(theta))
 
 
 def unit_vector(theta: float, phi: float) -> np.ndarray:
     """Cartesian unit vector at polar angles (theta, phi)."""
-    s = math.sin(theta)
-    return np.array([s * math.cos(phi), s * math.sin(phi), math.cos(theta)])
+    return np.array(_cartesian(theta, phi))
 
 
 def angle_between(a, b) -> float:

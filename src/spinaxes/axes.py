@@ -14,6 +14,11 @@ the nested stretched coupling of the k axes:
     t[k,q] = r_k (...((Q1 x Q2)^2 x Q3)^3 ...)^k_q.
 
 A spin-j state thus maps to j(2j+1) axes plus 2j non-negative scalars.
+
+Every stage works on a stack of same-j tensors, one rank at a time
+(:func:`decompose_many`); the single-item functions build_polynomial,
+solve_axes, pair_and_canonicalize, scalar_r and decompose run the same
+stacked code on a stack of one.
 """
 
 import cmath
@@ -22,8 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angular import HalfInt, _wrap_azimuth, angle_between, couple, unit_vector, unit_vector_components
-from .errors import DecompositionError, DomainError
+from .angular import (
+    HalfInt, _cartesian, _spherical_components, _wrap_azimuth, angle_between, couple, unit_vector,
+    unit_vector_components,
+)
+from .errors import DecompositionError, DomainError, ValidationError
 from .tensors import TensorComponents
 
 __all__ = [
@@ -35,6 +43,7 @@ __all__ = [
     "build_polynomial",
     "coupled_axes_tensor",
     "decompose",
+    "decompose_many",
     "pair_and_canonicalize",
     "reconstruct_tensor",
     "scalar_r",
@@ -163,64 +172,20 @@ def build_polynomial(t: TensorComponents, k: int):
     tj = t.j.twice
     if not 1 <= k <= tj:
         raise DomainError(f"rank k={k} outside 1 <= k <= 2j for j={t.j}")
-    arr = t.rank_array(k)  # descending q: arr[i] = t[k, k-i]
-    if float(np.max(np.abs(arr))) < EMPTY_RANK_TOL:
+    coeffs, deficiency, present = _polynomials(t.rank_array(k)[None], k)
+    if not present[0]:
         return None
-    coeffs = np.sqrt([math.comb(2 * k, r) for r in range(2 * k + 1)]) * arr[::-1]
-    cmax = float(np.max(np.abs(coeffs)))
-    deficiency = 2 * k - int(np.flatnonzero(np.abs(coeffs) > DEFICIENCY_REL_TOL * cmax)[-1])
-    return RankPolynomial(k=k, coefficients=coeffs, degree_deficiency=deficiency)
-
-
-def _root_point(z: complex) -> tuple[float, float]:
-    theta = 2.0 * math.atan2(1.0, abs(z))
-    phi = 0.0 if z == 0 else _wrap_azimuth(-cmath.phase(z))
-    return (theta, phi)
+    return RankPolynomial(k=k, coefficients=coeffs[0], degree_deficiency=int(deficiency[0]))
 
 
 def solve_axes(poly: RankPolynomial) -> list[tuple[float, float]]:
     """All 2k root points (theta, phi), with deficiency roots placed at theta = 0.
 
-    Finite roots come from the companion-matrix eigensolve (np.roots) and are
-    checked against a residual bound of ROOT_RESIDUAL_TOL relative to the
+    Finite roots come from the companion-matrix eigensolve (as np.roots) and
+    are checked against a residual bound of ROOT_RESIDUAL_TOL relative to the
     coefficient scale; failures raise DecompositionError with diagnostics.
     """
-    coeffs = poly.coefficients
-    degree = 2 * poly.k - poly.degree_deficiency
-    points = [(0.0, 0.0)] * poly.degree_deficiency
-    if degree == 0:
-        return points
-    trimmed = coeffs[: degree + 1]
-    highest_first = trimmed[::-1]
-    try:
-        roots = np.roots(highest_first)
-    except np.linalg.LinAlgError as exc:  # companion eigensolve failed to converge
-        raise DecompositionError(
-            f"root solver did not converge for rank {poly.k} (coefficients {coeffs!r})"
-        ) from exc
-    roots = roots[np.lexsort((roots.imag, roots.real))]
-    scale = float(np.max(np.abs(coeffs)))
-    values = np.abs(np.polyval(highest_first, roots))
-    bounds = ROOT_RESIDUAL_TOL * scale * (degree + 1) * np.maximum(1.0, np.abs(roots)) ** degree
-    bad = np.flatnonzero(values > bounds)
-    if bad.size:
-        i = bad[0]
-        raise DecompositionError(
-            f"root {roots[i]!r} of the rank-{poly.k} polynomial has residual {values[i]:.3e} "
-            f"(bound {bounds[i]:.3e})"
-        )
-    points.extend(_root_point(complex(z)) for z in roots)
-    return points
-
-
-def _canonical_rep(u: np.ndarray) -> np.ndarray:
-    # keep the representative with z > 0; on a tie, x > 0, then y > 0
-    for comp in (u[2], u[0], u[1]):
-        if comp > 0.0:
-            return u
-        if comp < 0.0:
-            return -u
-    return u
+    return _one(_root_points(poly.coefficients[None], np.array([poly.degree_deficiency]), poly.k)[0])
 
 
 def pair_and_canonicalize(points, *, tol: float = PAIRING_TOL) -> list[Axis]:
@@ -236,32 +201,10 @@ def pair_and_canonicalize(points, *, tol: float = PAIRING_TOL) -> list[Axis]:
     """
     pts = list(points)
     if len(pts) % 2:
-        raise DecompositionError(f"expected an even number of root points, got {len(pts)}")
-    vecs = np.array([unit_vector(theta, phi) for theta, phi in pts]).reshape(-1, 3)
-    cross = np.linalg.norm(np.cross(vecs[:, None, :], vecs[None, :, :]), axis=-1)
-    dots = vecs @ vecs.T
-    # largest number of points within 1e-3 rad of one point, itself included
-    cluster = int(np.sum(np.arctan2(cross, dots) < 1e-3, axis=1).max(initial=1))
-    eff_tol = max(tol, 100.0 * _EPS ** (1.0 / cluster))
-    mismatch = np.arctan2(cross, -dots)
-    mismatch[np.tril_indices(len(pts))] = np.inf  # only pairs i < j
-    axes = []
-    for _ in range(len(pts) // 2):
-        i, j = np.unravel_index(np.argmin(mismatch), mismatch.shape)
-        ang = mismatch[i, j]
-        if ang > eff_tol:
-            raise DecompositionError(
-                f"root point {pts[i]} has no antipodal partner "
-                f"(best mismatch {ang:.3e} rad > {eff_tol:.3e}); "
-                "the input tensor likely violates conjugation symmetry"
-            )
-        mismatch[[i, j], :] = mismatch[:, [i, j]] = np.inf
-        mean = vecs[i] - vecs[j]  # averages out opposite-signed root noise
-        mean /= np.linalg.norm(mean)
-        axes.append(Axis.from_cartesian(_canonical_rep(mean)))
-    # coarse-then-fine key so fp-level theta ties still order by phi
-    axes.sort(key=lambda ax: (round(ax.theta, 9), round(ax.phi, 9), ax.theta, ax.phi))
-    return axes
+        raise DecompositionError(f"expected an even number of root points, got {len(pts)}", stage="pairing")
+    if not pts:
+        return []
+    return _one(_pairings([pts], tol)[0])
 
 
 def coupled_axes_tensor(axes) -> np.ndarray:
@@ -273,10 +216,7 @@ def coupled_axes_tensor(axes) -> np.ndarray:
     axes = list(axes)
     if not axes:
         raise DomainError("need at least one axis")
-    acc = axes[0].components
-    for rank, axis in enumerate(axes[1:], start=2):
-        acc = couple(acc, axis.components, rank)
-    return acc
+    return _coupled(np.array([_spherical_components(ax.theta, ax.phi) for ax in axes]))
 
 
 def scalar_r(t: TensorComponents, k: int, axes) -> tuple[float, bool, float]:
@@ -291,21 +231,9 @@ def scalar_r(t: TensorComponents, k: int, axes) -> tuple[float, bool, float]:
     if len(axes) != k:
         raise DomainError(f"rank {k} needs exactly {k} axes, got {len(axes)}")
     target = t.rank_array(k)
-    prod = coupled_axes_tensor(axes)
-    imax = int(np.argmax(np.abs(prod)))
-    pmax = prod[imax]
-    if abs(pmax) < 1e-10:
-        raise DecompositionError(
-            f"coupled axis tensor vanishes at rank {k} while the tensor components do not"
-        )
-    r = float((target[imax] / pmax).real)
-    flipped = False
-    if r < 0.0:
-        r = -r
-        prod = -prod
-        flipped = True
-    residual = float(np.max(np.abs(target - r * prod)))
-    return (r, flipped, residual)
+    if not axes:
+        raise DomainError("need at least one axis")
+    return _one(_scales(target[None], [axes])[0])
 
 
 def decompose(
@@ -318,29 +246,291 @@ def decompose(
 
     Ranks with all components below EMPTY_RANK_TOL are recorded as absent.
     Any numerical inconsistency raises DecompositionError annotated with the
-    offending rank.
+    offending rank and stage.
     """
-    t.validate(1e-8)
-    ranks = {}
-    for k in range(1, t.j.twice + 1):
+    return decompose_many([t], residual_tol=residual_tol, pairing_tol=pairing_tol)[0]
+
+
+def decompose_many(
+    ts,
+    *,
+    residual_tol: float = RESIDUAL_TOL,
+    pairing_tol: float = PAIRING_TOL,
+) -> list[MultiaxialForm]:
+    """:func:`decompose` of every tensor in a sequence of one j, each rank in one pass over the stack.
+
+    Returns the forms ``[decompose(t) for t in ts]`` would return. When an item
+    fails, raises what that loop would raise first, the error of the lowest
+    failing index, with its ``index`` set. An item that fails at rank k takes
+    no part in later ranks. Tensors of different j raise DomainError; an
+    empty sequence gives an empty list.
+    """
+    ts = list(ts)
+    if not ts:
+        return []
+    j = ts[0].j
+    for t in ts:
+        if t.j != j:
+            raise DomainError(f"decompose_many needs tensors of one j, got j={j} and j={t.j}")
+    errors = {}
+    for index, t in enumerate(ts):
         try:
-            poly = build_polynomial(t, k)
-            if poly is None:
-                ranks[k] = None
-                continue
-            points = solve_axes(poly)
-            axes = pair_and_canonicalize(points, tol=pairing_tol)
-            r, flipped, residual = scalar_r(t, k, axes)
+            t.validate(1e-8)
+        except ValidationError as exc:
+            errors[index] = exc
+            break
+    # items past the lowest failing index cannot change the outcome, so the
+    # items still in play are always the first `count`
+    count = min(errors, default=len(ts))
+    stack = np.array([t.array for t in ts[:count]]).reshape(count, (j.twice + 1) ** 2)
+    ranks = [{} for _ in range(count)]
+    for k in range(1, j.twice + 1):
+        rank_rows = stack[:count, k * k:(k + 1) ** 2]
+
+        def fail(item, exc):
+            wrapped = DecompositionError(f"rank {k}: {exc}", rank=k, stage=exc.stage)
+            wrapped.__cause__ = exc
+            errors[item] = wrapped
+
+        coeffs, deficiency, present = _polynomials(rank_rows, k)
+        items = np.flatnonzero(present).tolist()
+        for item in np.flatnonzero(~present).tolist():
+            ranks[item][k] = None
+        axes = scales = []
+        if items:
+            items, points = _split(items, _root_points(coeffs[items], deficiency[items], k), fail)
+        if items:
+            items, axes = _split(items, _pairings(points, pairing_tol), fail)
+        if items:
+            items, scales = _split(items, _scales(rank_rows[items], axes), fail)
+        for item, rank_axes, (r, flipped, residual) in zip(items, axes, scales):
             if flipped:
-                axes[-1] = axes[-1].antipode()
+                rank_axes[-1] = rank_axes[-1].antipode()
             if residual > residual_tol:
-                raise DecompositionError(
-                    f"reconstruction residual {residual:.3e} exceeds {residual_tol:.1e}"
+                fail(item, DecompositionError(
+                    f"reconstruction residual {residual:.3e} exceeds {residual_tol:.1e}", stage="residual"
+                ))
+            else:
+                ranks[item][k] = RankDecomposition(tuple(rank_axes), r, flipped, residual)
+        count = min(errors, default=count)
+    if errors:
+        index = min(errors)
+        exc = errors[index]
+        exc.index = index
+        raise exc
+    return [MultiaxialForm(j=j, ranks=rank_map) for rank_map in ranks]
+
+
+def _one(result):
+    """A single-item stage result, raising it when it is an error."""
+    if isinstance(result, DecompositionError):
+        raise result
+    return result
+
+
+def _split(items, results, fail):
+    """Pass the errors among per-item stage results to fail; return the other items and their results."""
+    kept_items, kept = [], []
+    for item, result in zip(items, results):
+        if isinstance(result, DecompositionError):
+            fail(item, result)
+        else:
+            kept_items.append(item)
+            kept.append(result)
+    return kept_items, kept
+
+
+def _polynomials(rows: np.ndarray, k: int):
+    """Axis polynomials of stacked rank-k components, rows ordered q = +k ... -k.
+
+    Returns the (N, 2k+1) coefficients C_0 ... C_2k, the degree deficiency of
+    each row and whether each row is present (some component at least
+    EMPTY_RANK_TOL in magnitude).
+    """
+    present = ~(np.abs(rows).max(axis=1) < EMPTY_RANK_TOL)
+    coeffs = np.sqrt([math.comb(2 * k, r) for r in range(2 * k + 1)]) * rows[:, ::-1]
+    mags = np.abs(coeffs)
+    big = mags > DEFICIENCY_REL_TOL * mags.max(axis=1, keepdims=True)
+    return coeffs, np.argmax(big[:, ::-1], axis=1), present
+
+
+def _root_point(z: complex) -> tuple[float, float]:
+    theta = 2.0 * math.atan2(1.0, abs(z))
+    phi = 0.0 if z == 0 else _wrap_azimuth(-cmath.phase(z))
+    return (theta, phi)
+
+
+def _root_points(coeffs: np.ndarray, deficiency: np.ndarray, k: int) -> list:
+    """Root points of stacked rank-k polynomials, one list per row as :func:`solve_axes` gives it.
+
+    A row whose eigensolve fails or whose roots miss the residual bound gets
+    its DecompositionError instead. As np.roots does, exact zeros at either
+    end of C_0 ... C_degree are stripped from the companion matrix, the low
+    ones becoming roots at Z = 0; rows are grouped by degree and by the
+    stripped span, one eigensolve per group.
+    """
+    out = [None] * len(coeffs)
+    groups = {}
+    for row, (defic, nonzero) in enumerate(zip(deficiency.tolist(), (coeffs != 0).tolist())):
+        degree = 2 * k - defic
+        span = [r for r in range(degree + 1) if nonzero[r]] or [0]
+        groups.setdefault((degree, span[0], span[-1]), []).append(row)
+    for (degree, low, high), rows in groups.items():
+        if high == 0:  # no finite nonzero root
+            for row in rows:
+                out[row] = [(0.0, 0.0)] * (2 * k - degree)
+            continue
+        c = coeffs[rows]
+        size = high - low
+        roots = np.zeros((len(rows), 0), dtype=complex)
+        if size:
+            highest_first = c[:, low:high + 1][:, ::-1]
+            companion = np.zeros((len(rows), size, size), dtype=complex)
+            companion[:, 1:, :-1] = np.eye(size - 1)
+            companion[:, 0, :] = -highest_first[:, 1:] / highest_first[:, :1]
+            roots, unsolved = _eigvals(companion)
+            for g, exc in unsolved.items():
+                err = DecompositionError(
+                    f"root solver did not converge for rank {k} (coefficients {coeffs[rows[g]]!r})",
+                    stage="roots",
                 )
-            ranks[k] = RankDecomposition(tuple(axes), r, flipped, residual)
-        except DecompositionError as exc:
-            raise DecompositionError(f"rank {k}: {exc}") from exc
-    return MultiaxialForm(j=t.j, ranks=ranks)
+                err.__cause__ = exc
+                out[rows[g]] = err
+        if low:
+            roots = np.concatenate((roots, np.zeros((len(rows), low), dtype=complex)), axis=1)
+        order = np.lexsort((roots.imag, roots.real), axis=-1)
+        roots = roots[np.arange(len(rows))[:, None], order]
+        # Horner in np.polyval's order over C_degree ... C_0
+        values = np.zeros_like(roots)
+        for col in range(degree, -1, -1):
+            values = values * roots + c[:, col:col + 1]
+        values = np.abs(values)
+        scale = np.abs(c).max(axis=1, keepdims=True)
+        bounds = ROOT_RESIDUAL_TOL * scale * (degree + 1) * np.maximum(1.0, np.abs(roots)) ** degree
+        bad = values > bounds
+        first_bad = zip(bad.any(axis=1).tolist(), bad.argmax(axis=1).tolist())
+        for g, (row, (failed, i)) in enumerate(zip(rows, first_bad)):
+            if out[row] is not None:
+                continue
+            if failed:
+                out[row] = DecompositionError(
+                    f"root {roots[g, i]!r} of the rank-{k} polynomial has residual {values[g, i]:.3e} "
+                    f"(bound {bounds[g, i]:.3e})",
+                    stage="roots",
+                )
+            else:
+                out[row] = [(0.0, 0.0)] * (2 * k - degree) + [_root_point(z) for z in roots[g].tolist()]
+    return out
+
+
+def _eigvals(matrices: np.ndarray):
+    """Eigenvalues of stacked matrices, and the LinAlgError of each that did not converge, by position."""
+    try:
+        return np.linalg.eigvals(matrices), {}
+    except np.linalg.LinAlgError as exc:
+        if len(matrices) == 1:
+            return np.zeros(matrices.shape[:-1], dtype=complex), {0: exc}
+    # one matrix that does not converge fails the whole call: solve them one by one
+    solved = [_eigvals(matrix[None]) for matrix in matrices]
+    unsolved = {g: failed[0] for g, (_, failed) in enumerate(solved) if failed}
+    return np.concatenate([values for values, _ in solved]), unsolved
+
+
+def _canonical_rep(u: np.ndarray) -> np.ndarray:
+    # keep the representative with z > 0; on a tie, x > 0, then y > 0
+    for comp in (u[2], u[0], u[1]):
+        if comp > 0.0:
+            return u
+        if comp < 0.0:
+            return -u
+    return u
+
+
+def _pairings(points: list, tol: float) -> list:
+    """Antipodal pairing of stacked root-point sets of one even size, one axis list per set.
+
+    Each set is paired as :func:`pair_and_canonicalize` describes; a set with
+    a point that has no antipodal partner gets its DecompositionError instead.
+    """
+    count, n = len(points), len(points[0])
+    vecs = np.array([[_cartesian(theta, phi) for theta, phi in pts] for pts in points]).reshape(count, n, 3)
+    a, b = vecs[:, :, None, :], vecs[:, None, :, :]
+    # |v_i x v_j| with np.cross's products and np.linalg.norm's sum order
+    c0 = a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1]
+    c1 = a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2]
+    c2 = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+    cross = np.sqrt(c0 * c0 + c1 * c1 + c2 * c2)
+    dots = vecs @ vecs.transpose(0, 2, 1)
+    # largest number of points within 1e-3 rad of one point, itself included
+    cluster = (np.arctan2(cross, dots) < 1e-3).sum(axis=2).max(axis=1)
+    eff_tol = np.array([max(tol, 100.0 * _EPS ** (1.0 / m)) for m in cluster.tolist()])
+    mismatch = np.arctan2(cross, -dots)
+    mismatch[:, np.tri(n, dtype=bool)] = np.inf  # only pairs i < j
+    flat = mismatch.reshape(count, n * n)
+    every = np.arange(count)
+    best = np.empty((count, n // 2), dtype=np.intp)
+    ang = np.empty((count, n // 2))
+    for rnd in range(n // 2):
+        best[:, rnd] = pick = flat.argmin(axis=1)
+        ang[:, rnd] = flat[every, pick]
+        i, j = np.divmod(pick, n)
+        mismatch[every, i] = mismatch[every, j] = np.inf
+        mismatch[every, :, i] = mismatch[every, :, j] = np.inf
+    first, second = np.divmod(best, n)
+    too_far = ang > eff_tol[:, None]
+    failed_round = np.argmax(too_far, axis=1).tolist()
+    # the pair difference averages out opposite-signed root noise
+    mean = vecs[every[:, None], first] - vecs[every[:, None], second]
+    mean /= np.sqrt(mean[..., None, :] @ mean[..., :, None])[..., 0]  # np.linalg.norm's dot product
+    out = []
+    for row, (pts, failed) in enumerate(zip(points, too_far.any(axis=1).tolist())):
+        if failed:
+            rnd = failed_round[row]
+            out.append(DecompositionError(
+                f"root point {pts[first[row, rnd]]} has no antipodal partner "
+                f"(best mismatch {ang[row, rnd]:.3e} rad > {eff_tol[row]:.3e}); "
+                "the input tensor likely violates conjugation symmetry",
+                stage="pairing",
+            ))
+            continue
+        axes = [Axis.from_cartesian(_canonical_rep(u)) for u in mean[row]]
+        # coarse-then-fine key so fp-level theta ties still order by phi
+        axes.sort(key=lambda ax: (round(ax.theta, 9), round(ax.phi, 9), ax.theta, ax.phi))
+        out.append(axes)
+    return out
+
+
+def _coupled(comps: np.ndarray) -> np.ndarray:
+    """Nested stretched coupling of stacked rank-1 components (..., k, 3) to (..., 2k+1)."""
+    acc = comps[..., 0, :]
+    for rank in range(2, comps.shape[-2] + 1):
+        acc = couple(acc, comps[..., rank - 1, :], rank)
+    return acc
+
+
+def _scales(targets: np.ndarray, axes_rows: list) -> list:
+    """(r, flipped, residual) of stacked rank-k components against their k axes, as :func:`scalar_r`.
+
+    A row whose coupled axis tensor vanishes gets its DecompositionError instead.
+    """
+    k = len(axes_rows[0])
+    comps = np.array([[_spherical_components(ax.theta, ax.phi) for ax in axes] for axes in axes_rows])
+    prod = _coupled(comps.reshape(len(axes_rows), k, 3))
+    every = np.arange(len(prod))
+    imax = np.argmax(np.abs(prod), axis=1)
+    pmax = prod[every, imax]
+    vanishing = np.abs(pmax) < 1e-10
+    r = (targets[every, imax] / np.where(vanishing, 1.0, pmax)).real
+    flipped = r < 0.0
+    r = np.where(flipped, -r, r)
+    prod = np.where(flipped[:, None], -prod, prod)
+    residual = np.max(np.abs(targets - r[:, None] * prod), axis=1)
+    return [
+        DecompositionError(
+            f"coupled axis tensor vanishes at rank {k} while the tensor components do not", stage="scale"
+        ) if gone else result
+        for gone, result in zip(vanishing.tolist(), zip(r.tolist(), flipped.tolist(), residual.tolist()))
+    ]
 
 
 def reconstruct_tensor(form: MultiaxialForm) -> TensorComponents:

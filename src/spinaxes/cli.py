@@ -32,7 +32,9 @@ from .angular import (
     HalfInt, _tensor_operator_cached, angle_between, clebsch_gordan, tensor_index, unit_vector,
     wigner_D_matrix,
 )
-from .axes import EMPTY_RANK_TOL, build_polynomial, decompose, pair_and_canonicalize, solve_axes
+from .axes import (
+    EMPTY_RANK_TOL, build_polynomial, decompose, decompose_many, pair_and_canonicalize, solve_axes,
+)
 from .errors import DecompositionError, DomainError, StateFileError, ValidationError
 from .invariants import enumerate_invariants, invariant_count, spin1_named, verify_invariance
 from .states import ChannelParams, channel_mixed, ppt_separable, pure_two_spinor, random_density_matrix
@@ -98,7 +100,10 @@ def _read_state_json(path: str):
             raise StateFileError(f"twice_j must be an integer, got {twice_j!r}")
         jj = HalfInt(twice_j)
     elif "j" in payload:
-        jj = HalfInt.coerce(payload["j"])
+        try:
+            jj = HalfInt.coerce(payload["j"])
+        except DomainError as exc:
+            raise StateFileError(str(exc)) from exc
     else:
         raise StateFileError("missing 'twice_j' (or 'j') field")
     if jj.twice < 0:
@@ -285,19 +290,6 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def sweep_row(p: float, theta: float) -> dict:
-    """One sweep cell: spin-1 invariants and the PPT flag at (p, theta)."""
-    rho = channel_mixed(ChannelParams.equal(p, 2.0 * theta))
-    named = spin1_named(enumerate_invariants(decompose(to_tensor(rho))))
-    ppt = ppt_separable(rho)
-    row = {"p": p, "theta": theta}
-    for key in ("I1", "I2", "I3", "I4", "I5"):
-        row[key] = named[key] if named[key] is not None else 0.0
-    row["ppt_min_eig"] = ppt.min_eigenvalue
-    row["separable"] = ppt.separable
-    return row
-
-
 def cmd_sweep(args) -> int:
     try:
         p_values = parse_range(args.p)
@@ -305,21 +297,26 @@ def cmd_sweep(args) -> int:
     except (DomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    cells = [(float(p), float(theta)) for p in p_values for theta in theta_values]
+    rhos = [channel_mixed(ChannelParams.equal(p, 2.0 * theta)) for p, theta in cells]
+    try:
+        forms = decompose_many([to_tensor(rho) for rho in rhos])
+    except (DecompositionError, ValidationError) as exc:
+        p, theta = cells[exc.index]
+        print(f"error: decomposition failed during sweep at p={_fmt(p)}, theta={_fmt(theta)}: {exc}",
+              file=sys.stderr)
+        return EXIT_NUMERIC
     lines = [CSV_COLUMNS]
-    for p in p_values:
-        for theta in theta_values:
-            try:
-                row = sweep_row(float(p), float(theta))
-            except (DecompositionError, ValidationError) as exc:
-                print(f"error: decomposition failed during sweep at p={_fmt(float(p))}, "
-                      f"theta={_fmt(float(theta))}: {exc}", file=sys.stderr)
-                return EXIT_NUMERIC
-            lines.append(",".join(
-                [_fmt(row["p"]), _fmt(row["theta"])]
-                + [_fmt(row[k]) for k in ("I1", "I2", "I3", "I4", "I5")]
-                + [_fmt(abs(row[k])) for k in ("I3", "I4", "I5")]
-                + [_fmt(row["ppt_min_eig"]), "true" if row["separable"] else "false"]
-            ))
+    for (p, theta), rho, form in zip(cells, rhos, forms):
+        named = spin1_named(enumerate_invariants(form))
+        ppt = ppt_separable(rho)
+        values = [0.0 if named[key] is None else named[key] for key in ("I1", "I2", "I3", "I4", "I5")]
+        lines.append(",".join(
+            [_fmt(p), _fmt(theta)]
+            + [_fmt(v) for v in values]
+            + [_fmt(abs(v)) for v in values[2:]]
+            + [_fmt(ppt.min_eigenvalue), "true" if ppt.separable else "false"]
+        ))
     text = "\n".join(lines) + "\n"
     try:
         with open(args.out, "w", encoding="utf-8") as handle:

@@ -6,11 +6,30 @@ class DomainError(ValueError):
 
 
 class ValidationError(ValueError):
-    """Input data violates a structural invariant (hermiticity, trace, conjugation symmetry)."""
+    """Input data violates a structural invariant (finiteness, hermiticity, trace, conjugation symmetry).
+
+    ``index`` is the position of the failing item when the error comes from a
+    batch call such as :func:`spinaxes.axes.decompose_many`, else ``None``.
+    """
+
+    index = None
 
 
 class DecompositionError(RuntimeError):
-    """Numerical inconsistency while extracting axes or scale factors."""
+    """Numerical inconsistency while extracting axes or scale factors.
+
+    ``rank`` is the rank k that failed and ``stage`` the step that failed:
+    ``"roots"``, ``"pairing"``, ``"scale"`` or ``"residual"``. ``index`` is the
+    position of the failing item in a batch call such as
+    :func:`spinaxes.axes.decompose_many`. Each is ``None`` where not known.
+    """
+
+    index = None
+
+    def __init__(self, message: str, *, rank: int | None = None, stage: str | None = None):
+        super().__init__(message)
+        self.rank = rank
+        self.stage = stage
 
 
 class StateFileError(ValueError):

@@ -27,6 +27,9 @@ __all__ = [
     "verify_invariance",
 ]
 
+# C(1 1 0; q -q 0) for q = +1, 0, -1, the weights of the rank-0 coupling of two axes
+_CG_SCALAR = tuple(clebsch_gordan(1, 1, 0, q, -q, 0) for q in (1, 0, -1))
+
 
 @dataclass(frozen=True, eq=False)
 class InvariantSet:
@@ -71,8 +74,8 @@ def enumerate_invariants(form: MultiaxialForm) -> InvariantSet:
     comps = np.array([ax.components for _, ax in labeled]).reshape(n, 3)
     coupled = np.zeros((n, n), dtype=complex)
     # couple(a, b, 0)[0] for every pair, summed in couple's order: sum_q C(1 1 0; q -q 0) a_q b_-q
-    for i, q in enumerate((1, 0, -1)):
-        coupled += (clebsch_gordan(1, 1, 0, q, -q, 0) * comps[:, i])[:, None] * comps[None, :, 2 - i]
+    for i, weight in enumerate(_CG_SCALAR):
+        coupled += (weight * comps[:, i])[:, None] * comps[None, :, 2 - i]
     rows, cols = np.triu_indices(n, 1)
     values = coupled.real[rows, cols].tolist()
     pairwise = [(labels[a], labels[b], v) for a, b, v in zip(rows.tolist(), cols.tolist(), values)]

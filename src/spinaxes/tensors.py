@@ -15,6 +15,8 @@ k^2 + k - q: the layout of the stacked operator basis, so expansion and
 resummation are single array contractions.
 """
 
+from functools import lru_cache
+
 import numpy as np
 
 from .angular import HalfInt, _tensor_operator_cached, tensor_index, wigner_D_matrix
@@ -35,6 +37,17 @@ TRACE_TOL = 1e-10
 CONJUGATION_TOL = 1e-10
 
 
+@lru_cache(maxsize=None)
+def _conjugation_mirror(tj: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only flat position of t[k,-q] and the sign (-1)^q, for each flat position of t[k,q]."""
+    k = np.repeat(np.arange(tj + 1), 2 * np.arange(tj + 1) + 1)
+    q = k * k + k - np.arange((tj + 1) ** 2)
+    mirror, sign = k * k + k + q, (-1.0) ** q
+    mirror.setflags(write=False)
+    sign.setflags(write=False)
+    return mirror, sign
+
+
 class DensityMatrix:
     """Validated (2j+1) x (2j+1) Hermitian unit-trace matrix, basis m = +j ... -j.
 
@@ -50,6 +63,8 @@ class DensityMatrix:
         arr = np.array(matrix, dtype=complex)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
             raise ValidationError(f"expected a square matrix, got shape {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise ValidationError("matrix has non-finite entries")
         dim = arr.shape[0]
         jj = HalfInt(dim - 1) if j is None else HalfInt.coerce(j)
         if jj.twice + 1 != dim:
@@ -144,15 +159,13 @@ class TensorComponents:
 
     def max_conjugation_defect(self) -> float:
         """Largest violation of t[k,q]* = (-1)^q t[k,-q]."""
-        worst = 0.0
-        for k in range(self.j.twice + 1):
-            vec = self.rank_array(k)  # q = +k ... -k, so vec[::-1] holds t[k,-q]
-            sign = (-1.0) ** np.arange(k, -k - 1, -1)
-            worst = max(worst, float(np.max(np.abs(vec.conj() - sign * vec[::-1]))))
-        return worst
+        mirror, sign = _conjugation_mirror(self.j.twice)
+        return float(np.max(np.abs(self.array.conj() - sign * self.array[mirror])))
 
     def validate(self, tol: float = CONJUGATION_TOL) -> None:
-        """Raise ValidationError unless t[0,0] = 1 and conjugation symmetry holds within tol."""
+        """Raise ValidationError unless all components are finite, t[0,0] = 1 and conjugation symmetry holds."""
+        if not np.isfinite(self.array).all():
+            raise ValidationError("tensor components have non-finite entries")
         if abs(self[0, 0] - 1.0) > tol:
             raise ValidationError(f"t[0,0] must be 1 (unit trace), got {self[0, 0]:.12g}")
         defect = self.max_conjugation_defect()

@@ -34,6 +34,9 @@ class TestHalfInt:
             HalfInt.coerce(0.3)
         with pytest.raises(DomainError):
             HalfInt.coerce("2/3")
+        for value in ("abc", "x/2", float("nan"), float("inf"), "1e400"):
+            with pytest.raises(DomainError):
+                HalfInt.coerce(value)
 
     def test_str_and_value(self):
         assert str(HalfInt(3)) == "3/2"

@@ -3,21 +3,28 @@ import math
 import numpy as np
 import pytest
 
-from spinaxes.angular import HalfInt, angle_between, euler_rotation_cartesian, unit_vector
+from spinaxes.angular import (
+    HalfInt, angle_between, clebsch_gordan, couple, euler_rotation_cartesian, unit_vector,
+)
 from spinaxes.axes import (
+    DEFICIENCY_REL_TOL,
+    EMPTY_RANK_TOL,
     PAIRING_TOL,
+    RESIDUAL_TOL,
+    ROOT_RESIDUAL_TOL,
     Axis,
     _canonical_rep,
     _root_point,
     build_polynomial,
     coupled_axes_tensor,
     decompose,
+    decompose_many,
     pair_and_canonicalize,
     reconstruct_tensor,
     scalar_r,
     solve_axes,
 )
-from spinaxes.errors import DecompositionError, DomainError
+from spinaxes.errors import DecompositionError, DomainError, ValidationError
 from spinaxes.states import Spinor, pure_two_spinor, symmetrize_pure
 from spinaxes.tensors import (
     DensityMatrix,
@@ -423,7 +430,7 @@ class TestDecompose:
 
     def test_conjugation_violation_raises(self):
         bad = TensorComponents(1, {(1, 1): 0.4, (1, -1): 0.4})
-        with pytest.raises(Exception):
+        with pytest.raises(ValidationError):
             decompose(bad)
 
     def test_high_spin_headroom(self):
@@ -435,3 +442,237 @@ class TestDecompose:
         rebuilt = reconstruct_tensor(form)
         for k in range(1, 11):
             assert np.max(np.abs(rebuilt.rank_array(k) - t.rank_array(k))) < 1e-10
+
+
+def reference_couple(a, b, rank):
+    """The per-term loop that couple's table contraction replaced."""
+    k1, k2 = (len(a) - 1) // 2, (len(b) - 1) // 2
+    out = np.zeros(2 * rank + 1, dtype=complex)
+    for i1 in range(len(a)):
+        for i2 in range(len(b)):
+            q = k1 - i1 + k2 - i2
+            if abs(q) <= rank:
+                cg = clebsch_gordan(k1, k2, rank, k1 - i1, k2 - i2, q)
+                if cg:
+                    out[rank - q] += cg * a[i1] * b[i2]
+    return out
+
+
+class TestCoupleTable:
+    def test_batch_matches_per_term_loop(self):
+        rng = np.random.default_rng(9)
+        for k1, k2 in ((0, 1), (1, 1), (2, 1), (3, 2), (7, 1), (15, 1)):
+            a = rng.normal(size=(4, 2 * k1 + 1)) + 1j * rng.normal(size=(4, 2 * k1 + 1))
+            b = rng.normal(size=(4, 2 * k2 + 1)) + 1j * rng.normal(size=(4, 2 * k2 + 1))
+            for rank in range(abs(k1 - k2), k1 + k2 + 1):
+                batch = couple(a, b, rank)
+                assert batch.shape == (4, 2 * rank + 1)
+                for row in range(4):
+                    assert np.array_equal(batch[row], reference_couple(a[row], b[row], rank))
+                    assert np.array_equal(couple(a[row], b[row], rank), batch[row])
+                assert np.array_equal(couple(a[0], b, rank)[0], batch[0])  # batch axes broadcast
+
+
+def reference_decompose(t, residual_tol=RESIDUAL_TOL, pairing_tol=PAIRING_TOL):
+    """The per-state decompose that decompose_many replaced, kept as its oracle.
+
+    Returns {k: None or (axes as (theta, phi), r, flipped, residual)}.
+    """
+    t.validate(1e-8)
+    ranks = {}
+    for k in range(1, t.j.twice + 1):
+        try:
+            arr = t.rank_array(k)
+            if float(np.max(np.abs(arr))) < EMPTY_RANK_TOL:
+                ranks[k] = None
+                continue
+            coeffs = np.sqrt([math.comb(2 * k, r) for r in range(2 * k + 1)]) * arr[::-1]
+            cmax = float(np.max(np.abs(coeffs)))
+            deficiency = 2 * k - int(np.flatnonzero(np.abs(coeffs) > DEFICIENCY_REL_TOL * cmax)[-1])
+            degree = 2 * k - deficiency
+            pts = [(0.0, 0.0)] * deficiency
+            if degree:
+                highest_first = coeffs[: degree + 1][::-1]
+                roots = np.roots(highest_first)
+                roots = roots[np.lexsort((roots.imag, roots.real))]
+                values = np.abs(np.polyval(highest_first, roots))
+                bounds = ROOT_RESIDUAL_TOL * cmax * (degree + 1) * np.maximum(1.0, np.abs(roots)) ** degree
+                bad = np.flatnonzero(values > bounds)
+                if bad.size:
+                    i = bad[0]
+                    raise DecompositionError(
+                        f"root {roots[i]!r} of the rank-{k} polynomial has residual {values[i]:.3e} "
+                        f"(bound {bounds[i]:.3e})"
+                    )
+                pts.extend(_root_point(complex(z)) for z in roots)
+            vecs = np.array([unit_vector(theta, phi) for theta, phi in pts]).reshape(-1, 3)
+            cross = np.linalg.norm(np.cross(vecs[:, None, :], vecs[None, :, :]), axis=-1)
+            dots = vecs @ vecs.T
+            cluster = int(np.sum(np.arctan2(cross, dots) < 1e-3, axis=1).max(initial=1))
+            eff_tol = max(pairing_tol, 100.0 * np.finfo(float).eps ** (1.0 / cluster))
+            mismatch = np.arctan2(cross, -dots)
+            mismatch[np.tril_indices(len(pts))] = np.inf
+            axes = []
+            for _ in range(k):
+                i, j = np.unravel_index(np.argmin(mismatch), mismatch.shape)
+                ang = mismatch[i, j]
+                if ang > eff_tol:
+                    raise DecompositionError(
+                        f"root point {pts[i]} has no antipodal partner "
+                        f"(best mismatch {ang:.3e} rad > {eff_tol:.3e}); "
+                        "the input tensor likely violates conjugation symmetry"
+                    )
+                mismatch[[i, j], :] = mismatch[:, [i, j]] = np.inf
+                mean = vecs[i] - vecs[j]
+                mean /= np.linalg.norm(mean)
+                axes.append(Axis.from_cartesian(_canonical_rep(mean)))
+            axes.sort(key=lambda ax: (round(ax.theta, 9), round(ax.phi, 9), ax.theta, ax.phi))
+            prod = axes[0].components
+            for rank, axis in enumerate(axes[1:], start=2):
+                prod = reference_couple(prod, axis.components, rank)
+            imax = int(np.argmax(np.abs(prod)))
+            if abs(prod[imax]) < 1e-10:
+                raise DecompositionError(
+                    f"coupled axis tensor vanishes at rank {k} while the tensor components do not"
+                )
+            r = float((arr[imax] / prod[imax]).real)
+            flipped = r < 0.0
+            if flipped:
+                r, prod = -r, -prod
+                axes[-1] = axes[-1].antipode()
+            residual = float(np.max(np.abs(arr - r * prod)))
+            if residual > residual_tol:
+                raise DecompositionError(f"reconstruction residual {residual:.3e} exceeds {residual_tol:.1e}")
+            ranks[k] = ([(ax.theta, ax.phi) for ax in axes], r, flipped, residual)
+        except DecompositionError as exc:
+            raise DecompositionError(f"rank {k}: {exc}") from exc
+    return ranks
+
+
+def summary(form):
+    return {
+        k: None if d is None else ([(ax.theta, ax.phi) for ax in d.axes], d.r, d.flipped, d.residual)
+        for k, d in form.ranks.items()
+    }
+
+
+def first_failure(fn, ts):
+    """(index, type, message) of what a loop of fn over ts raises first, or None."""
+    for index, t in enumerate(ts):
+        try:
+            fn(t)
+        except (DecompositionError, ValidationError) as exc:
+            return (index, type(exc), str(exc))
+    return None
+
+
+def with_rank_scaled(t, k, factor):
+    arr = t.array.copy()
+    arr[k * k:(k + 1) ** 2] *= factor
+    return TensorComponents(t.j, arr)
+
+
+def seeded_stack(tj, rng):
+    """Random and degenerate tensors of one j: absent ranks, z-aligned states, coincident axes."""
+    stack = []
+    for cols in (1, tj + 1):  # a pure and a Ginibre mixed state
+        vec = rng.normal(size=(tj + 1, cols)) + 1j * rng.normal(size=(tj + 1, cols))
+        mat = vec @ vec.conj().T
+        stack.append(to_tensor(DensityMatrix(mat / mat.trace().real)))
+    stack.append(random_tensor_components(HalfInt(tj), rng))
+    stack.append(with_rank_scaled(random_tensor_components(HalfInt(tj), rng), (tj + 1) // 2, 0.0))
+    stack.append(to_tensor(DensityMatrix.maximally_mixed(HalfInt(tj))))
+    for m in (0, tj // 2):  # coherent |j,j> and Dicke |j,m>: roots at 0 and infinity
+        vec = np.zeros(tj + 1)
+        vec[m] = 1.0
+        stack.append(to_tensor(DensityMatrix(np.outer(vec, vec))))
+    a, b = Axis(0.6, 1.2), Axis(2.1, 4.0)
+    comps = {}
+    for k in range(1, tj + 1):
+        prod = 0.7 * coupled_axes_tensor([a] * (k - k // 3) + [b] * (k // 3))
+        comps.update({(k, q): prod[k - q] for q in range(-k, k + 1)})
+    stack.append(TensorComponents(HalfInt(tj), comps))
+    spinors = [Spinor(0.7, 2.3), Spinor(2.0, 0.4)] * (tj // 2) + [Spinor(1.1, 5.0)] * (tj % 2)
+    stack.append(to_tensor(symmetrize_pure(spinors)))
+    phi, psi = rng.uniform(0, 2 * math.pi, size=2)
+    theta = math.acos(rng.uniform(-1, 1))
+    return stack + [rotate_tensor(t, phi, theta, psi) for t in stack]
+
+
+class TestDecomposeMany:
+    def test_matches_per_state_reference(self):
+        rng = np.random.default_rng(41)
+        for tj in (1, 2, 3, 5, 8, 12, 16):
+            stack = seeded_stack(tj, rng)
+            passing = []
+            for t in stack:
+                try:
+                    expected = reference_decompose(t)
+                except DecompositionError as exc:
+                    with pytest.raises(DecompositionError) as info:
+                        decompose(t)
+                    assert str(info.value) == str(exc)
+                    continue
+                assert summary(decompose(t)) == expected
+                passing.append((t, expected))
+            assert len(passing) >= len(stack) // 2  # degenerate states off the z-axis may fail
+            forms = decompose_many([t for t, _ in passing])
+            assert [summary(form) for form in forms] == [expected for _, expected in passing]
+
+    def test_lowest_failing_index_wins(self):
+        rng = np.random.default_rng(42)
+        good = random_tensor_components(HalfInt(3), rng)
+        at_rank3 = with_rank_scaled(random_tensor_components(HalfInt(3), rng), 3, 1e6)
+        at_rank1 = with_rank_scaled(random_tensor_components(HalfInt(3), rng), 1, 1e6)
+        broken = TensorComponents(HalfInt(3), np.where(np.arange(16) == 5, np.nan, good.array))
+        for stack, index, rank in (
+            ([good, at_rank3, at_rank1], 1, 3),
+            ([good, at_rank1, at_rank3], 1, 1),
+            ([at_rank3, good, broken, at_rank1], 0, 3),
+            ([good, broken, at_rank1], 1, None),
+            ([broken, at_rank1], 0, None),
+        ):
+            expected = first_failure(lambda t: reference_decompose(t, residual_tol=1e-12), stack)
+            assert expected[0] == index
+            with pytest.raises((DecompositionError, ValidationError)) as info:
+                decompose_many(stack, residual_tol=1e-12)
+            assert (info.value.index, type(info.value), str(info.value)) == expected
+            assert getattr(info.value, "rank", None) == rank
+
+    def test_error_reports_rank_and_stage(self):
+        rho = symmetrize_pure([Spinor(0.7, 2.3)] * 6)  # coherent state off the z-axis
+        with pytest.raises(DecompositionError) as info:
+            decompose(to_tensor(rho))
+        assert (info.value.index, info.value.rank, info.value.stage) == (0, 6, "pairing")
+        assert str(info.value).startswith("rank 6: root point")
+        t = with_rank_scaled(random_tensor_components(HalfInt(2), np.random.default_rng(43)), 2, 1e6)
+        with pytest.raises(DecompositionError) as info:
+            decompose_many([TensorComponents(HalfInt(2)), t], residual_tol=1e-12)
+        assert (info.value.index, info.value.rank, info.value.stage) == (1, 2, "residual")
+        assert str(info.value).startswith("rank 2: reconstruction residual")
+
+    def test_unconverged_eigensolve_fails_its_item_only(self, monkeypatch):
+        rng = np.random.default_rng(44)
+        ts = [random_tensor_components(HalfInt(1), rng) for _ in range(3)]
+        c = np.sqrt([1.0, 2.0, 1.0]) * ts[1].rank_array(1)[::-1]  # C_0, C_1, C_2 of item 1
+        marked = -c[1] / c[2]  # top-left entry of its companion matrix
+        real = np.linalg.eigvals
+
+        def eigvals(matrices):
+            if np.any(np.abs(matrices[..., 0, 0] - marked) < 1e-12):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return real(matrices)
+
+        monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+        with pytest.raises(DecompositionError) as info:
+            decompose_many(ts)
+        assert (info.value.index, info.value.rank, info.value.stage) == (1, 1, "roots")
+        assert str(info.value).startswith("rank 1: root solver did not converge for rank 1 (coefficients array(")
+        assert isinstance(info.value.__cause__.__cause__, np.linalg.LinAlgError)
+        forms = decompose_many([ts[0], ts[2]])
+        assert [summary(form) for form in forms] == [reference_decompose(ts[0]), reference_decompose(ts[2])]
+
+    def test_mixed_j_and_empty_stack(self):
+        assert decompose_many([]) == []
+        with pytest.raises(DomainError):
+            decompose_many([TensorComponents(HalfInt(2)), TensorComponents(HalfInt(3))])

@@ -118,6 +118,10 @@ class TestAnalyze:
         ("3", "top level must be a JSON object"),
         ('{"twice_j": "abc", "matrix": []}', "twice_j must be an integer"),
         ('{"twice_j": -3, "matrix": []}', "twice_j must be non-negative"),
+        ('{"j": "abc", "matrix": []}', "cannot parse 'abc' as a half-integer"),
+        ('{"j": "x/2", "matrix": []}', "cannot parse 'x/2' as a half-integer"),
+        ('{"j": NaN, "matrix": []}', "nan is not an integer or half-integer"),
+        ('{"j": 1e400, "matrix": []}', "inf is not an integer or half-integer"),
     ])
     def test_malformed_json_exit_code(self, tmp_path, capsys, text, message):
         path = tmp_path / "bad.json"
@@ -125,6 +129,14 @@ class TestAnalyze:
         code, out, err = run(capsys, ["analyze", str(path)])
         assert code == 2
         assert message in err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_non_finite_entry_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "nan.state"
+        path.write_text("j 2\n1 0 0 0 0 0\n0 0 nan 0 0 0\n0 0 0 0 0 0\n")
+        code, out, err = run(capsys, ["analyze", str(path)])
+        assert code == 2
+        assert err == f"error: {path}: matrix has non-finite entries\n"
 
     def test_missing_file_exit_code(self, capsys):
         code, out, err = run(capsys, ["analyze", "/no/such/file.state"])
@@ -224,16 +236,15 @@ class TestSweep:
         assert code == 2
 
     def test_failing_cell_is_named(self, tmp_path, capsys, monkeypatch):
-        calls = []
-        real = cli.decompose
+        real = cli.decompose_many
 
-        def fail_third_cell(t):
-            calls.append(t)
-            if len(calls) == 3:
-                raise DecompositionError("synthetic failure")
-            return real(t)
+        def fail_third_cell(ts):
+            real(ts)
+            exc = DecompositionError("synthetic failure")
+            exc.index = 2
+            raise exc
 
-        monkeypatch.setattr(cli, "decompose", fail_third_cell)
+        monkeypatch.setattr(cli, "decompose_many", fail_third_cell)
         out = tmp_path / "grid.csv"
         code, _, err = run(capsys, ["sweep", "--p", "0:1:2", "--theta", "0:0.5:2", "--out", str(out)])
         assert code == 3

@@ -41,6 +41,13 @@ class TestDensityMatrix:
         with pytest.raises(ValidationError):
             DensityMatrix(np.eye(3))
 
+    def test_rejects_non_finite_entries(self):
+        for bad in (np.nan, np.inf):
+            mat = np.eye(3, dtype=complex) / 3
+            mat[1, 1] = bad
+            with pytest.raises(ValidationError, match="non-finite"):
+                DensityMatrix(mat)
+
     def test_rejects_non_square(self):
         with pytest.raises(ValidationError):
             DensityMatrix(np.zeros((2, 3)))
@@ -90,6 +97,12 @@ class TestTensorComponents:
         t = TensorComponents(1, {(1, 1): 1.0, (1, -1): 1.0})  # should be -conj
         with pytest.raises(ValidationError):
             t.validate(1e-8)
+
+    def test_validate_flags_non_finite_components(self):
+        for bad in (np.nan, complex(0.0, np.inf)):
+            t = TensorComponents(1, {(1, 0): bad})
+            with pytest.raises(ValidationError, match="non-finite"):
+                t.validate(1e-8)
 
     def test_validate_flags_bad_trace(self):
         t = TensorComponents(1, {(0, 0): 0.5})
