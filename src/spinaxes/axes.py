@@ -116,6 +116,8 @@ class RankPolynomial:
         arr = np.asarray(self.coefficients, dtype=complex)
         if arr.shape != (2 * self.k + 1,):
             raise DomainError(f"rank-{self.k} polynomial needs {2 * self.k + 1} coefficients")
+        if not np.isfinite(arr).all():
+            raise ValidationError(f"rank-{self.k} polynomial has non-finite coefficients {arr!r}")
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "coefficients", arr)
@@ -167,12 +169,16 @@ def build_polynomial(t: TensorComponents, k: int):
 
     C_r = sqrt(binom(2k, r)) t[k, r-k]; degree_deficiency counts leading
     coefficients below DEFICIENCY_REL_TOL times the largest one (each such
-    zero is a root at Z = infinity, i.e. theta = 0).
+    zero is a root at Z = infinity, i.e. theta = 0). Non-finite rank-k
+    components raise ValidationError.
     """
     tj = t.j.twice
     if not 1 <= k <= tj:
         raise DomainError(f"rank k={k} outside 1 <= k <= 2j for j={t.j}")
-    coeffs, deficiency, present = _polynomials(t.rank_array(k)[None], k)
+    row = t.rank_array(k)
+    if not np.isfinite(row).all():
+        raise ValidationError(f"rank-{k} tensor components are non-finite: {row!r}")
+    coeffs, deficiency, present = _polynomials(row[None], k)
     if not present[0]:
         return None
     return RankPolynomial(k=k, coefficients=coeffs[0], degree_deficiency=int(deficiency[0]))
@@ -302,8 +308,12 @@ def decompose_many(
         if items:
             items, axes = _split(items, _pairings(points, pairing_tol), fail)
         if items:
-            items, scales = _split(items, _scales(rank_rows[items], axes), fail)
-        for item, rank_axes, (r, flipped, residual) in zip(items, axes, scales):
+            scales = _scales(rank_rows[items], axes)
+        for item, rank_axes, scale in zip(items, axes, scales):
+            if isinstance(scale, DecompositionError):
+                fail(item, scale)
+                continue
+            r, flipped, residual = scale
             if flipped:
                 rank_axes[-1] = rank_axes[-1].antipode()
             if residual > residual_tol:

@@ -13,6 +13,7 @@ from spinaxes.axes import (
     RESIDUAL_TOL,
     ROOT_RESIDUAL_TOL,
     Axis,
+    RankPolynomial,
     _canonical_rep,
     _root_point,
     build_polynomial,
@@ -131,6 +132,13 @@ class TestBuildPolynomial:
     def test_rank_out_of_range(self):
         with pytest.raises(DomainError):
             build_polynomial(TensorComponents(1), 3)
+
+    def test_rejects_non_finite_components(self):
+        for bad in (math.nan, math.inf, complex(0.5, math.nan)):
+            with pytest.raises(ValidationError, match="non-finite"):
+                build_polynomial(TensorComponents(1, {(1, 0): bad}), 1)
+        with pytest.raises(ValidationError, match="non-finite"):
+            RankPolynomial(k=1, coefficients=[0.0, math.nan, 0.0], degree_deficiency=1)
 
     def test_coefficient_symmetry(self):
         # conjugation symmetry of t forces C_{2k-r} = (-1)^(r-k) conj(C_r)
