@@ -62,7 +62,9 @@ _TWO_PI = 2.0 * math.pi
 
 
 def _wrap_azimuth(phi: float) -> float:
-    """Azimuth in [0, 2 pi); fp wraparound of azimuths a hair below zero maps to 0."""
+    """Azimuth in [0, 2 pi), azimuths a hair below zero mapping to 0; a non-finite one raises DomainError."""
+    if not math.isfinite(phi):
+        raise DomainError(f"azimuth phi={phi} is not finite")
     phi = phi % _TWO_PI
     return 0.0 if _TWO_PI - phi < 1e-12 else phi
 

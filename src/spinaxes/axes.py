@@ -191,26 +191,26 @@ def solve_axes(poly: RankPolynomial) -> list[tuple[float, float]]:
     are checked against a residual bound of ROOT_RESIDUAL_TOL relative to the
     coefficient scale; failures raise DecompositionError with diagnostics.
     """
-    return _one(_root_points(poly.coefficients[None], np.array([poly.degree_deficiency]), poly.k)[0])
+    return _root_points(poly.coefficients[None], np.array([poly.degree_deficiency]), poly.k)[0]
 
 
-def pair_and_canonicalize(points, *, tol: float = PAIRING_TOL) -> list[Axis]:
+def pair_and_canonicalize(points) -> list[Axis]:
     """Match the 2k root points into antipodal pairs and pick one axis per pair.
 
     Greedy nearest-antipode matching: each round takes the first row-major
     minimum of atan2(|v_i x v_j|, -v_i . v_j) over unmatched pairs i < j. An
     m-fold root cluster is only accurate to about eps^(1/m), so the matching
-    tolerance widens accordingly. The representative is the pair member with
-    z > 0 (ties broken by x, then y), and the result is sorted by (theta, phi).
-    Unpairable points signal a conjugation-symmetry violation upstream and
-    raise DecompositionError.
+    tolerance widens from PAIRING_TOL accordingly. The representative is the
+    pair member with z > 0 (ties broken by x, then y), and the result is
+    sorted by (theta, phi). Unpairable points signal a conjugation-symmetry
+    violation upstream and raise DecompositionError.
     """
     pts = list(points)
     if len(pts) % 2:
-        raise DecompositionError(f"expected an even number of root points, got {len(pts)}", stage="pairing")
+        raise _row_error(0, f"expected an even number of root points, got {len(pts)}", "pairing")
     if not pts:
         return []
-    return _one(_pairings([pts], tol)[0])
+    return _pairings([pts])[0]
 
 
 def coupled_axes_tensor(axes) -> np.ndarray:
@@ -239,37 +239,27 @@ def scalar_r(t: TensorComponents, k: int, axes) -> tuple[float, bool, float]:
     target = t.rank_array(k)
     if not axes:
         raise DomainError("need at least one axis")
-    return _one(_scales(target[None], [axes])[0])
+    return _scales(target[None], [axes])[0]
 
 
-def decompose(
-    t: TensorComponents,
-    *,
-    residual_tol: float = RESIDUAL_TOL,
-    pairing_tol: float = PAIRING_TOL,
-) -> MultiaxialForm:
+def decompose(t: TensorComponents) -> MultiaxialForm:
     """Full axial decomposition: polynomial, roots, antipodal pairing, scale, per rank.
 
     Ranks with all components below EMPTY_RANK_TOL are recorded as absent.
-    Any numerical inconsistency raises DecompositionError annotated with the
-    offending rank and stage.
+    Any numerical inconsistency, including a reconstruction residual above
+    RESIDUAL_TOL, raises DecompositionError annotated with the offending rank
+    and stage.
     """
-    return decompose_many([t], residual_tol=residual_tol, pairing_tol=pairing_tol)[0]
+    return decompose_many([t])[0]
 
 
-def decompose_many(
-    ts,
-    *,
-    residual_tol: float = RESIDUAL_TOL,
-    pairing_tol: float = PAIRING_TOL,
-) -> list[MultiaxialForm]:
+def decompose_many(ts) -> list[MultiaxialForm]:
     """:func:`decompose` of every tensor in a sequence of one j, each rank in one pass over the stack.
 
     Returns the forms ``[decompose(t) for t in ts]`` would return. When an item
     fails, raises what that loop would raise first, the error of the lowest
-    failing index, with its ``index`` set. An item that fails at rank k takes
-    no part in later ranks. Tensors of different j raise DomainError; an
-    empty sequence gives an empty list.
+    failing index, with its ``index`` set. Tensors of different j raise
+    DomainError; an empty sequence gives an empty list.
     """
     ts = list(ts)
     if not ts:
@@ -278,76 +268,65 @@ def decompose_many(
     for t in ts:
         if t.j != j:
             raise DomainError(f"decompose_many needs tensors of one j, got j={j} and j={t.j}")
-    errors = {}
+    error, count = None, len(ts)  # only the items before the lowest failing index so far stay in play
     for index, t in enumerate(ts):
         try:
             t.validate(1e-8)
         except ValidationError as exc:
-            errors[index] = exc
+            exc.index = count = index
+            error = exc
             break
-    # items past the lowest failing index cannot change the outcome, so the
-    # items still in play are always the first `count`
-    count = min(errors, default=len(ts))
     stack = np.array([t.array for t in ts[:count]]).reshape(count, (j.twice + 1) ** 2)
     ranks = [{} for _ in range(count)]
     for k in range(1, j.twice + 1):
-        rank_rows = stack[:count, k * k:(k + 1) ** 2]
-
-        def fail(item, exc):
-            wrapped = DecompositionError(f"rank {k}: {exc}", rank=k, stage=exc.stage)
-            wrapped.__cause__ = exc
-            errors[item] = wrapped
-
-        coeffs, deficiency, present = _polynomials(rank_rows, k)
-        items = np.flatnonzero(present).tolist()
-        for item in np.flatnonzero(~present).tolist():
-            ranks[item][k] = None
-        axes = scales = []
-        if items:
-            items, points = _split(items, _root_points(coeffs[items], deficiency[items], k), fail)
-        if items:
-            items, axes = _split(items, _pairings(points, pairing_tol), fail)
-        if items:
-            scales = _scales(rank_rows[items], axes)
-        for item, rank_axes, scale in zip(items, axes, scales):
-            if isinstance(scale, DecompositionError):
-                fail(item, scale)
-                continue
-            r, flipped, residual = scale
-            if flipped:
-                rank_axes[-1] = rank_axes[-1].antipode()
-            if residual > residual_tol:
-                fail(item, DecompositionError(
-                    f"reconstruction residual {residual:.3e} exceeds {residual_tol:.1e}", stage="residual"
-                ))
-            else:
-                ranks[item][k] = RankDecomposition(tuple(rank_axes), r, flipped, residual)
-        count = min(errors, default=count)
-    if errors:
-        index = min(errors)
-        exc = errors[index]
-        exc.index = index
-        raise exc
+        while True:  # rows are independent: without the failed suffix, the rest solve as they would alone
+            try:
+                decs = _rank(stack[:count, k * k:(k + 1) ** 2], k)
+                break
+            except DecompositionError as exc:
+                error, count = exc, exc.index
+        for rank_map, dec in zip(ranks, decs):
+            rank_map[k] = dec
+    if error is not None:
+        raise error
     return [MultiaxialForm(j=j, ranks=rank_map) for rank_map in ranks]
 
 
-def _one(result):
-    """A single-item stage result, raising it when it is an error."""
-    if isinstance(result, DecompositionError):
-        raise result
-    return result
+def _rank(rows: np.ndarray, k: int) -> list:
+    """Rank-k decomposition of each row of stacked components, ``None`` where the rank is absent.
+
+    Runs polynomial, roots, pairing, scale and residual check on the stack.
+    The first stage at which some row fails raises a "rank k: ..."
+    DecompositionError from that stage's error, with ``index`` set to its row.
+    """
+    coeffs, deficiency, present = _polynomials(rows, k)
+    items = np.flatnonzero(present).tolist()
+    decs = [None] * len(rows)
+    if not items:
+        return decs
+    try:
+        axes_rows = _pairings(_root_points(coeffs[items], deficiency[items], k))
+        scales = _scales(rows[items], axes_rows)
+        for row, (_, _, residual) in enumerate(scales):
+            if residual > RESIDUAL_TOL:
+                raise _row_error(row, f"reconstruction residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e}",
+                                 "residual")
+    except DecompositionError as exc:
+        error = DecompositionError(f"rank {k}: {exc}", rank=k, stage=exc.stage)
+        error.index = items[exc.index]
+        raise error from exc
+    for item, axes, (r, flipped, residual) in zip(items, axes_rows, scales):
+        if flipped:
+            axes[-1] = axes[-1].antipode()
+        decs[item] = RankDecomposition(tuple(axes), r, flipped, residual)
+    return decs
 
 
-def _split(items, results, fail):
-    """Pass the errors among per-item stage results to fail; return the other items and their results."""
-    kept_items, kept = [], []
-    for item, result in zip(items, results):
-        if isinstance(result, DecompositionError):
-            fail(item, result)
-        else:
-            kept_items.append(item)
-            kept.append(result)
-    return kept_items, kept
+def _row_error(row: int, message: str, stage: str) -> DecompositionError:
+    """A stage's DecompositionError for one row of its stack, with ``index`` set to that row."""
+    exc = DecompositionError(message, stage=stage)
+    exc.index = int(row)
+    return exc
 
 
 def _polynomials(rows: np.ndarray, k: int):
@@ -373,11 +352,11 @@ def _root_point(z: complex) -> tuple[float, float]:
 def _root_points(coeffs: np.ndarray, deficiency: np.ndarray, k: int) -> list:
     """Root points of stacked rank-k polynomials, one list per row as :func:`solve_axes` gives it.
 
-    A row whose eigensolve fails or whose roots miss the residual bound gets
-    its DecompositionError instead. As np.roots does, exact zeros at either
-    end of C_0 ... C_degree are stripped from the companion matrix, the low
-    ones becoming roots at Z = 0; rows are grouped by degree and by the
-    stripped span, one eigensolve per group.
+    As np.roots does, exact zeros at either end of C_0 ... C_degree are
+    stripped from the companion matrix, the low ones becoming roots at Z = 0;
+    rows are grouped by degree and by the stripped span, one eigensolve per
+    group. Raises the DecompositionError of the lowest row whose roots miss
+    the residual bound; an eigensolve that does not converge raises at once.
     """
     out = [None] * len(coeffs)
     groups = {}
@@ -385,6 +364,7 @@ def _root_points(coeffs: np.ndarray, deficiency: np.ndarray, k: int) -> list:
         degree = 2 * k - defic
         span = [r for r in range(degree + 1) if nonzero[r]] or [0]
         groups.setdefault((degree, span[0], span[-1]), []).append(row)
+    failures = []
     for (degree, low, high), rows in groups.items():
         if high == 0:  # no finite nonzero root
             for row in rows:
@@ -398,14 +378,7 @@ def _root_points(coeffs: np.ndarray, deficiency: np.ndarray, k: int) -> list:
             companion = np.zeros((len(rows), size, size), dtype=complex)
             companion[:, 1:, :-1] = np.eye(size - 1)
             companion[:, 0, :] = -highest_first[:, 1:] / highest_first[:, :1]
-            roots, unsolved = _eigvals(companion)
-            for g, exc in unsolved.items():
-                err = DecompositionError(
-                    f"root solver did not converge for rank {k} (coefficients {coeffs[rows[g]]!r})",
-                    stage="roots",
-                )
-                err.__cause__ = exc
-                out[rows[g]] = err
+            roots = _eigvals(companion, rows, coeffs, k)
         if low:
             roots = np.concatenate((roots, np.zeros((len(rows), low), dtype=complex)), axis=1)
         order = np.lexsort((roots.imag, roots.real), axis=-1)
@@ -418,32 +391,37 @@ def _root_points(coeffs: np.ndarray, deficiency: np.ndarray, k: int) -> list:
         scale = np.abs(c).max(axis=1, keepdims=True)
         bounds = ROOT_RESIDUAL_TOL * scale * (degree + 1) * np.maximum(1.0, np.abs(roots)) ** degree
         bad = values > bounds
-        first_bad = zip(bad.any(axis=1).tolist(), bad.argmax(axis=1).tolist())
-        for g, (row, (failed, i)) in enumerate(zip(rows, first_bad)):
-            if out[row] is not None:
-                continue
-            if failed:
-                out[row] = DecompositionError(
-                    f"root {roots[g, i]!r} of the rank-{k} polynomial has residual {values[g, i]:.3e} "
-                    f"(bound {bounds[g, i]:.3e})",
-                    stage="roots",
-                )
-            else:
-                out[row] = [(0.0, 0.0)] * (2 * k - degree) + [_root_point(z) for z in roots[g].tolist()]
+        if bad.any():
+            g, i = np.argwhere(bad)[0]
+            failures.append(_row_error(rows[g], f"root {roots[g, i]!r} of the rank-{k} polynomial has residual "
+                                       f"{values[g, i]:.3e} (bound {bounds[g, i]:.3e})", "roots"))
+            continue
+        for row, row_roots in zip(rows, roots.tolist()):
+            out[row] = [(0.0, 0.0)] * (2 * k - degree) + [_root_point(z) for z in row_roots]
+    if failures:
+        raise min(failures, key=lambda exc: exc.index)
     return out
 
 
-def _eigvals(matrices: np.ndarray):
-    """Eigenvalues of stacked matrices, and the LinAlgError of each that did not converge, by position."""
+def _eigvals(companion: np.ndarray, rows: list, coeffs: np.ndarray, k: int) -> np.ndarray:
+    """Eigenvalues of the stacked companion matrices of the given rows of the rank-k coeffs.
+
+    One matrix that does not converge fails the whole call, so the matrices
+    are then solved one by one and the first that does not converge raises.
+    """
     try:
-        return np.linalg.eigvals(matrices), {}
-    except np.linalg.LinAlgError as exc:
-        if len(matrices) == 1:
-            return np.zeros(matrices.shape[:-1], dtype=complex), {0: exc}
-    # one matrix that does not converge fails the whole call: solve them one by one
-    solved = [_eigvals(matrix[None]) for matrix in matrices]
-    unsolved = {g: failed[0] for g, (_, failed) in enumerate(solved) if failed}
-    return np.concatenate([values for values, _ in solved]), unsolved
+        return np.linalg.eigvals(companion)
+    except np.linalg.LinAlgError:
+        pass
+    solved = []
+    for row, matrix in zip(rows, companion):
+        try:
+            solved.append(np.linalg.eigvals(matrix[None]))
+        except np.linalg.LinAlgError as exc:
+            raise _row_error(
+                row, f"root solver did not converge for rank {k} (coefficients {coeffs[row]!r})", "roots"
+            ) from exc
+    return np.concatenate(solved)
 
 
 def _canonical_rep(u: np.ndarray) -> np.ndarray:
@@ -456,11 +434,12 @@ def _canonical_rep(u: np.ndarray) -> np.ndarray:
     return u
 
 
-def _pairings(points: list, tol: float) -> list:
+def _pairings(points: list) -> list:
     """Antipodal pairing of stacked root-point sets of one even size, one axis list per set.
 
-    Each set is paired as :func:`pair_and_canonicalize` describes; a set with
-    a point that has no antipodal partner gets its DecompositionError instead.
+    Each set is paired as :func:`pair_and_canonicalize` describes. Raises the
+    DecompositionError of the lowest set with a point that has no antipodal
+    partner.
     """
     count, n = len(points), len(points[0])
     vecs = np.array([[_cartesian(theta, phi) for theta, phi in pts] for pts in points]).reshape(count, n, 3)
@@ -473,7 +452,7 @@ def _pairings(points: list, tol: float) -> list:
     dots = vecs @ vecs.transpose(0, 2, 1)
     # largest number of points within 1e-3 rad of one point, itself included
     cluster = (np.arctan2(cross, dots) < 1e-3).sum(axis=2).max(axis=1)
-    eff_tol = np.array([max(tol, 100.0 * _EPS ** (1.0 / m)) for m in cluster.tolist()])
+    eff_tol = np.array([max(PAIRING_TOL, 100.0 * _EPS ** (1.0 / m)) for m in cluster.tolist()])
     mismatch = np.arctan2(cross, -dots)
     mismatch[:, np.tri(n, dtype=bool)] = np.inf  # only pairs i < j
     flat = mismatch.reshape(count, n * n)
@@ -488,22 +467,17 @@ def _pairings(points: list, tol: float) -> list:
         mismatch[every, :, i] = mismatch[every, :, j] = np.inf
     first, second = np.divmod(best, n)
     too_far = ang > eff_tol[:, None]
-    failed_round = np.argmax(too_far, axis=1).tolist()
+    if too_far.any():
+        row, rnd = np.argwhere(too_far)[0]
+        raise _row_error(row, f"root point {points[row][first[row, rnd]]} has no antipodal partner "
+                         f"(best mismatch {ang[row, rnd]:.3e} rad > {eff_tol[row]:.3e}); "
+                         "the input tensor likely violates conjugation symmetry", "pairing")
     # the pair difference averages out opposite-signed root noise
     mean = vecs[every[:, None], first] - vecs[every[:, None], second]
     mean /= np.sqrt(mean[..., None, :] @ mean[..., :, None])[..., 0]  # np.linalg.norm's dot product
     out = []
-    for row, (pts, failed) in enumerate(zip(points, too_far.any(axis=1).tolist())):
-        if failed:
-            rnd = failed_round[row]
-            out.append(DecompositionError(
-                f"root point {pts[first[row, rnd]]} has no antipodal partner "
-                f"(best mismatch {ang[row, rnd]:.3e} rad > {eff_tol[row]:.3e}); "
-                "the input tensor likely violates conjugation symmetry",
-                stage="pairing",
-            ))
-            continue
-        axes = [Axis.from_cartesian(_canonical_rep(u)) for u in mean[row]]
+    for row in mean:
+        axes = [Axis.from_cartesian(_canonical_rep(u)) for u in row]
         # coarse-then-fine key so fp-level theta ties still order by phi
         axes.sort(key=lambda ax: (round(ax.theta, 9), round(ax.phi, 9), ax.theta, ax.phi))
         out.append(axes)
@@ -521,7 +495,7 @@ def _coupled(comps: np.ndarray) -> np.ndarray:
 def _scales(targets: np.ndarray, axes_rows: list) -> list:
     """(r, flipped, residual) of stacked rank-k components against their k axes, as :func:`scalar_r`.
 
-    A row whose coupled axis tensor vanishes gets its DecompositionError instead.
+    Raises the DecompositionError of the lowest row whose coupled axis tensor vanishes.
     """
     k = len(axes_rows[0])
     comps = np.array([[_spherical_components(ax.theta, ax.phi) for ax in axes] for axes in axes_rows])
@@ -530,17 +504,15 @@ def _scales(targets: np.ndarray, axes_rows: list) -> list:
     imax = np.argmax(np.abs(prod), axis=1)
     pmax = prod[every, imax]
     vanishing = np.abs(pmax) < 1e-10
-    r = (targets[every, imax] / np.where(vanishing, 1.0, pmax)).real
+    if vanishing.any():
+        raise _row_error(np.argmax(vanishing), f"coupled axis tensor vanishes at rank {k} "
+                         "while the tensor components do not", "scale")
+    r = (targets[every, imax] / pmax).real
     flipped = r < 0.0
     r = np.where(flipped, -r, r)
     prod = np.where(flipped[:, None], -prod, prod)
     residual = np.max(np.abs(targets - r[:, None] * prod), axis=1)
-    return [
-        DecompositionError(
-            f"coupled axis tensor vanishes at rank {k} while the tensor components do not", stage="scale"
-        ) if gone else result
-        for gone, result in zip(vanishing.tolist(), zip(r.tolist(), flipped.tolist(), residual.tolist()))
-    ]
+    return list(zip(r.tolist(), flipped.tolist(), residual.tolist()))
 
 
 def reconstruct_tensor(form: MultiaxialForm) -> TensorComponents:

@@ -21,7 +21,9 @@ class DecompositionError(RuntimeError):
     ``rank`` is the rank k that failed and ``stage`` the step that failed:
     ``"roots"``, ``"pairing"``, ``"scale"`` or ``"residual"``. ``index`` is the
     position of the failing item in a batch call such as
-    :func:`spinaxes.axes.decompose_many`. Each is ``None`` where not known.
+    :func:`spinaxes.axes.decompose_many`; the single-item stages ``solve_axes``,
+    ``pair_and_canonicalize`` and ``scalar_r`` treat their input as a stack of
+    one and report 0. Each is ``None`` where not known.
     """
 
     index = None

@@ -27,6 +27,10 @@ __all__ = [
     "verify_invariance",
 ]
 
+SCALAR_TOL = 1e-8     # verify_invariance: largest accepted change of an r_k under rotation
+PAIRWISE_TOL = 1e-8   # ... of a sorted |pairwise| value
+AXIS_TOL = 1e-7       # ... of an axis direction, in radians
+
 # C(1 1 0; q -q 0) for q = +1, 0, -1, the weights of the rank-0 coupling of two axes
 _CG_SCALAR = tuple(clebsch_gordan(1, 1, 0, q, -q, 0) for q in (1, 0, -1))
 
@@ -44,13 +48,6 @@ class InvariantSet:
 
     def pairwise_abs_sorted(self) -> np.ndarray:
         return np.sort(np.array([abs(v) for _, _, v in self.pairwise]))
-
-    def get_pairwise(self, label_a, label_b) -> float:
-        key = (min(label_a, label_b), max(label_a, label_b))
-        for la, lb, v in self.pairwise:
-            if (la, lb) == key:
-                return v
-        raise KeyError(f"no pairwise invariant for {label_a} x {label_b}")
 
 
 def invariant_count(j) -> int:
@@ -137,21 +134,13 @@ def _match_lines(expected: list[np.ndarray], actual: list[np.ndarray]) -> float:
     return worst
 
 
-def verify_invariance(
-    rho: DensityMatrix,
-    trials: int = 50,
-    seed: int = 0,
-    *,
-    scalar_tol: float = 1e-8,
-    pairwise_tol: float = 1e-8,
-    axis_tol: float = 1e-7,
-) -> InvarianceReport:
+def verify_invariance(rho: DensityMatrix, trials: int = 50, seed: int = 0) -> InvarianceReport:
     """Compare the invariants of rho against those of randomly rotated copies.
 
     For each trial a random Euler triple rotates the tensor components; the
-    r_k must match within scalar_tol, the multiset of |pairwise| values within
-    pairwise_tol, and the axes (as unsigned lines, after rotating the
-    originals along) within axis_tol. Signed pairwise values are
+    r_k must match within SCALAR_TOL, the multiset of |pairwise| values within
+    PAIRWISE_TOL, and the axes (as unsigned lines, after rotating the
+    originals along) within AXIS_TOL. Signed pairwise values are
     convention-dependent and are compared at the absolute-value level.
     """
     rng = np.random.default_rng(seed)
@@ -187,14 +176,14 @@ def verify_invariance(
             expected = [mat.T @ ax.cartesian for ax in base_form.rank(k).axes]
             actual = [ax.cartesian for ax in rot_form.rank(k).axes]
             max_axis = max(max_axis, _match_lines(expected, actual))
-        if max_scalar > scalar_tol or max_pair > pairwise_tol or max_axis > axis_tol:
+        if max_scalar > SCALAR_TOL or max_pair > PAIRWISE_TOL or max_axis > AXIS_TOL:
             failures.append(
                 f"trial {trial}: deviation beyond tolerance at rotation "
                 f"(phi={phi!r}, theta={theta!r}, psi={psi!r}): "
                 f"scalar {max_scalar:.3e}, pairwise {max_pair:.3e}, axis {max_axis:.3e}"
             )
             break
-    passed = not failures and max_scalar <= scalar_tol and max_pair <= pairwise_tol and max_axis <= axis_tol
+    passed = not failures and max_scalar <= SCALAR_TOL and max_pair <= PAIRWISE_TOL and max_axis <= AXIS_TOL
     return InvarianceReport(
         trials=trials,
         passed=passed,

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import spinaxes.axes
 from spinaxes.angular import (
     HalfInt, angle_between, clebsch_gordan, couple, euler_rotation_cartesian, unit_vector,
 )
@@ -106,6 +107,13 @@ class TestAxis:
     def test_rejects_theta_above_pi(self):
         with pytest.raises(DomainError):
             Axis(4.0, 0.0)
+
+    def test_rejects_non_finite_azimuth(self):
+        for phi in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError, match="not finite"):
+                Axis(0.3, phi)
+        with pytest.raises(DomainError, match="not finite"):
+            Axis.from_cartesian([math.nan, 0.0, 1.0])
 
 
 class TestBuildPolynomial:
@@ -627,7 +635,8 @@ class TestDecomposeMany:
             forms = decompose_many([t for t, _ in passing])
             assert [summary(form) for form in forms] == [expected for _, expected in passing]
 
-    def test_lowest_failing_index_wins(self):
+    def test_lowest_failing_index_wins(self, monkeypatch):
+        monkeypatch.setattr(spinaxes.axes, "RESIDUAL_TOL", 1e-12)
         rng = np.random.default_rng(42)
         good = random_tensor_components(HalfInt(3), rng)
         at_rank3 = with_rank_scaled(random_tensor_components(HalfInt(3), rng), 3, 1e6)
@@ -643,19 +652,20 @@ class TestDecomposeMany:
             expected = first_failure(lambda t: reference_decompose(t, residual_tol=1e-12), stack)
             assert expected[0] == index
             with pytest.raises((DecompositionError, ValidationError)) as info:
-                decompose_many(stack, residual_tol=1e-12)
+                decompose_many(stack)
             assert (info.value.index, type(info.value), str(info.value)) == expected
             assert getattr(info.value, "rank", None) == rank
 
-    def test_error_reports_rank_and_stage(self):
+    def test_error_reports_rank_and_stage(self, monkeypatch):
         rho = symmetrize_pure([Spinor(0.7, 2.3)] * 6)  # coherent state off the z-axis
         with pytest.raises(DecompositionError) as info:
             decompose(to_tensor(rho))
         assert (info.value.index, info.value.rank, info.value.stage) == (0, 6, "pairing")
         assert str(info.value).startswith("rank 6: root point")
         t = with_rank_scaled(random_tensor_components(HalfInt(2), np.random.default_rng(43)), 2, 1e6)
+        monkeypatch.setattr(spinaxes.axes, "RESIDUAL_TOL", 1e-12)
         with pytest.raises(DecompositionError) as info:
-            decompose_many([TensorComponents(HalfInt(2)), t], residual_tol=1e-12)
+            decompose_many([TensorComponents(HalfInt(2)), t])
         assert (info.value.index, info.value.rank, info.value.stage) == (1, 2, "residual")
         assert str(info.value).startswith("rank 2: reconstruction residual")
 
@@ -679,6 +689,56 @@ class TestDecomposeMany:
         assert isinstance(info.value.__cause__.__cause__, np.linalg.LinAlgError)
         forms = decompose_many([ts[0], ts[2]])
         assert [summary(form) for form in forms] == [reference_decompose(ts[0]), reference_decompose(ts[2])]
+
+    def test_lower_index_failing_at_a_later_stage_wins(self, monkeypatch):
+        # both fail at rank 6: item 0 at pairing, item 1 at the eigensolve that runs before it
+        coherent = to_tensor(symmetrize_pure([Spinor(0.7, 2.3)] * 6))
+        t = random_tensor_components(HalfInt(6), np.random.default_rng(45))
+        c = np.sqrt([math.comb(12, r) for r in range(13)]) * t.rank_array(6)[::-1]
+        marked = -c[11] / c[12]  # top-left entry of its rank-6 companion matrix
+        real = np.linalg.eigvals
+        batches = []
+
+        def eigvals(matrices):
+            batches.append(len(matrices))
+            if np.any(np.abs(matrices[..., 0, 0] - marked) < 1e-12):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return real(matrices)
+
+        monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+        with pytest.raises(DecompositionError) as alone:
+            decompose(coherent)
+        batches.clear()
+        with pytest.raises(DecompositionError) as info:
+            decompose_many([coherent, t, coherent])
+        assert 3 in batches  # one eigensolve for the rank-6 polynomials of all three
+        assert (info.value.index, info.value.rank, info.value.stage) == (0, 6, "pairing")
+        assert str(info.value) == str(alone.value)
+        with pytest.raises(DecompositionError) as info:
+            decompose_many([t, coherent])
+        assert (info.value.index, info.value.rank, info.value.stage) == (0, 6, "roots")
+
+    def test_single_item_stage_errors_have_index_zero(self, monkeypatch):
+        with pytest.raises(DecompositionError) as info:
+            pair_and_canonicalize([(0.3, 0.0), (0.4, 1.0)])
+        assert (info.value.index, info.value.rank, info.value.stage) == (0, None, "pairing")
+        with pytest.raises(DecompositionError) as info:
+            pair_and_canonicalize([(0.3, 0.0)])
+        assert (info.value.index, info.value.stage) == (0, "pairing")
+        t = random_tensor_components(HalfInt(2), np.random.default_rng(46))
+        monkeypatch.setattr(spinaxes.axes, "_coupled", lambda comps: np.zeros((len(comps), 5), dtype=complex))
+        with pytest.raises(DecompositionError) as info:
+            scalar_r(t, 2, [Axis(0.3, 1.0), Axis(2.0, 4.0)])
+        assert (info.value.index, info.value.rank, info.value.stage) == (0, None, "scale")
+
+        def eigvals(matrices):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+        with pytest.raises(DecompositionError) as info:
+            solve_axes(build_polynomial(t, 2))
+        assert (info.value.index, info.value.rank, info.value.stage) == (0, None, "roots")
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
     def test_mixed_j_and_empty_stack(self):
         assert decompose_many([]) == []

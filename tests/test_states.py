@@ -72,6 +72,11 @@ class TestSymmetrizePure:
         with pytest.raises(DomainError):
             symmetrize_pure([])
 
+    def test_spinor_rejects_non_finite_azimuth(self):
+        for phi in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError, match="not finite"):
+                Spinor(0.3, phi)
+
 
 class TestPureTwoSpinor:
     def test_endpoints(self):
