@@ -15,8 +15,8 @@ the nested stretched coupling of the k axes:
 
 A spin-j state thus maps to j(2j+1) axes plus 2j non-negative scalars.
 
-Every stage works on a stack of same-j tensors, one rank at a time
-(:func:`decompose_many`); the single-item functions build_polynomial,
+Every stage works on all (item, rank) rows of a stack of same-j tensors in
+one pass (:func:`decompose_many`); the single-item functions build_polynomial,
 solve_axes, pair_and_canonicalize, scalar_r and decompose run the same
 stacked code on a stack of one.
 """
@@ -178,7 +178,7 @@ def build_polynomial(t: TensorComponents, k: int):
     row = t.rank_array(k)
     if not np.isfinite(row).all():
         raise ValidationError(f"rank-{k} tensor components are non-finite: {row!r}")
-    coeffs, deficiency, present = _polynomials(row[None], k)
+    coeffs, deficiency, present = _polynomials(row[None], np.array([k]))
     if not present[0]:
         return None
     return RankPolynomial(k=k, coefficients=coeffs[0], degree_deficiency=int(deficiency[0]))
@@ -191,7 +191,7 @@ def solve_axes(poly: RankPolynomial) -> list[tuple[float, float]]:
     are checked against a residual bound of ROOT_RESIDUAL_TOL relative to the
     coefficient scale; failures raise DecompositionError with diagnostics.
     """
-    return _root_points(poly.coefficients[None], np.array([poly.degree_deficiency]), poly.k)[0]
+    return _root_points(poly.coefficients[None], np.array([poly.degree_deficiency]), np.array([poly.k]))[0]
 
 
 def pair_and_canonicalize(points) -> list[Axis]:
@@ -203,11 +203,11 @@ def pair_and_canonicalize(points) -> list[Axis]:
     tolerance widens from PAIRING_TOL accordingly. The representative is the
     pair member with z > 0 (ties broken by x, then y), and the result is
     sorted by (theta, phi). Unpairable points signal a conjugation-symmetry
-    violation upstream and raise DecompositionError.
+    violation upstream and raise DecompositionError, as do non-finite ones.
     """
     pts = list(points)
     if len(pts) % 2:
-        raise _row_error(0, f"expected an even number of root points, got {len(pts)}", "pairing")
+        raise DecompositionError(f"expected an even number of root points, got {len(pts)}", stage="pairing", index=0)
     if not pts:
         return []
     return _pairings([pts])[0]
@@ -222,7 +222,7 @@ def coupled_axes_tensor(axes) -> np.ndarray:
     axes = list(axes)
     if not axes:
         raise DomainError("need at least one axis")
-    return _coupled(np.array([_spherical_components(ax.theta, ax.phi) for ax in axes]))
+    return _coupled([axes])[0]
 
 
 def scalar_r(t: TensorComponents, k: int, axes) -> tuple[float, bool, float]:
@@ -254,7 +254,7 @@ def decompose(t: TensorComponents) -> MultiaxialForm:
 
 
 def decompose_many(ts) -> list[MultiaxialForm]:
-    """:func:`decompose` of every tensor in a sequence of one j, each rank in one pass over the stack.
+    """:func:`decompose` of every tensor in a sequence of one j, each stage in one pass over the stack.
 
     Returns the forms ``[decompose(t) for t in ts]`` would return. When an item
     fails, raises what that loop would raise first, the error of the lowest
@@ -268,7 +268,7 @@ def decompose_many(ts) -> list[MultiaxialForm]:
     for t in ts:
         if t.j != j:
             raise DomainError(f"decompose_many needs tensors of one j, got j={j} and j={t.j}")
-    error, count = None, len(ts)  # only the items before the lowest failing index so far stay in play
+    error, count = None, len(ts)
     for index, t in enumerate(ts):
         try:
             t.validate(1e-8)
@@ -276,71 +276,69 @@ def decompose_many(ts) -> list[MultiaxialForm]:
             exc.index = count = index
             error = exc
             break
-    stack = np.array([t.array for t in ts[:count]]).reshape(count, (j.twice + 1) ** 2)
-    ranks = [{} for _ in range(count)]
-    for k in range(1, j.twice + 1):
-        while True:  # rows are independent: without the failed suffix, the rest solve as they would alone
-            try:
-                decs = _rank(stack[:count, k * k:(k + 1) ** 2], k)
-                break
-            except DecompositionError as exc:
-                error, count = exc, exc.index
-        for rank_map, dec in zip(ranks, decs):
-            rank_map[k] = dec
+    # one zero-padded row t[k, +k ... -k] per (item, rank), in the order a loop of decompose meets them
+    tj, ks, cols = j.twice, np.arange(1, j.twice + 1), np.arange(2 * j.twice + 1)
+    stack = np.array([t.array for t in ts[:count]]).reshape(count, (tj + 1) ** 2)
+    rows = np.where(cols <= 2 * ks[:, None], stack[:, ks[:, None] ** 2 + cols], 0).reshape(-1, 2 * tj + 1)
+    ks = np.arange(count * tj) % tj + 1
+    live = len(rows)  # only the rows before the lowest failing row so far stay in play
+    while True:  # rows are independent: without the failed suffix, the rest solve as they would alone
+        try:
+            decs = _ranks(rows[:live], ks[:live])
+            break
+        except DecompositionError as exc:
+            error, live = exc, exc.index
+            error.index = live // tj
     if error is not None:
         raise error
-    return [MultiaxialForm(j=j, ranks=rank_map) for rank_map in ranks]
+    return [MultiaxialForm(j=j, ranks=dict(zip(range(1, tj + 1), decs[i * tj:(i + 1) * tj]))) for i in range(count)]
 
 
-def _rank(rows: np.ndarray, k: int) -> list:
-    """Rank-k decomposition of each row of stacked components, ``None`` where the rank is absent.
+def _ranks(rows: np.ndarray, ks: np.ndarray) -> list:
+    """Decomposition of each row t[k, +k ... -k] (k = ks[i], zero-padded), ``None`` where the rank is absent.
 
-    Runs polynomial, roots, pairing, scale and residual check on the stack.
-    The first stage at which some row fails raises a "rank k: ..."
+    Runs polynomial, roots, pairing, scale and residual check, each once over
+    all rows. The first stage at which some row fails raises a "rank k: ..."
     DecompositionError from that stage's error, with ``index`` set to its row.
     """
-    coeffs, deficiency, present = _polynomials(rows, k)
-    items = np.flatnonzero(present).tolist()
+    coeffs, deficiency, present = _polynomials(rows, ks)
+    items = np.flatnonzero(present)
     decs = [None] * len(rows)
-    if not items:
+    if not items.size:
         return decs
     try:
-        axes_rows = _pairings(_root_points(coeffs[items], deficiency[items], k))
+        axes_rows = _pairings(_root_points(coeffs[items], deficiency[items], ks[items]))
         scales = _scales(rows[items], axes_rows)
         for row, (_, _, residual) in enumerate(scales):
             if residual > RESIDUAL_TOL:
-                raise _row_error(row, f"reconstruction residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e}",
-                                 "residual")
+                raise DecompositionError(f"reconstruction residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e}",
+                                         stage="residual", index=row)
     except DecompositionError as exc:
-        error = DecompositionError(f"rank {k}: {exc}", rank=k, stage=exc.stage)
-        error.index = items[exc.index]
-        raise error from exc
-    for item, axes, (r, flipped, residual) in zip(items, axes_rows, scales):
+        row = int(items[exc.index])
+        k = int(ks[row])
+        raise DecompositionError(f"rank {k}: {exc}", rank=k, stage=exc.stage, index=row) from exc
+    for item, axes, (r, flipped, residual) in zip(items.tolist(), axes_rows, scales):
         if flipped:
             axes[-1] = axes[-1].antipode()
         decs[item] = RankDecomposition(tuple(axes), r, flipped, residual)
     return decs
 
 
-def _row_error(row: int, message: str, stage: str) -> DecompositionError:
-    """A stage's DecompositionError for one row of its stack, with ``index`` set to that row."""
-    exc = DecompositionError(message, stage=stage)
-    exc.index = int(row)
-    return exc
+def _polynomials(rows: np.ndarray, ks: np.ndarray):
+    """Axis polynomials of stacked components, row i holding t[k, +k ... -k] for k = ks[i], zero-padded.
 
-
-def _polynomials(rows: np.ndarray, k: int):
-    """Axis polynomials of stacked rank-k components, rows ordered q = +k ... -k.
-
-    Returns the (N, 2k+1) coefficients C_0 ... C_2k, the degree deficiency of
-    each row and whether each row is present (some component at least
-    EMPTY_RANK_TOL in magnitude).
+    Returns the coefficients C_0 ... C_2k of each row, zero-padded to the
+    width of ``rows``, the degree deficiency of each row and whether each row
+    is present (some component at least EMPTY_RANK_TOL in magnitude).
     """
     present = ~(np.abs(rows).max(axis=1) < EMPTY_RANK_TOL)
-    coeffs = np.sqrt([math.comb(2 * k, r) for r in range(2 * k + 1)]) * rows[:, ::-1]
+    width = rows.shape[1]
+    # C_r = sqrt(binom(2k, r)) t[k, r-k]; past r = 2k the weight is 0 and the index wraps onto padding
+    weights = np.sqrt([[math.comb(2 * k, r) for r in range(width)] for k in range(width // 2 + 1)])[ks]
+    coeffs = weights * rows[np.arange(len(rows))[:, None], (2 * ks[:, None] - np.arange(width)) % width]
     mags = np.abs(coeffs)
     big = mags > DEFICIENCY_REL_TOL * mags.max(axis=1, keepdims=True)
-    return coeffs, np.argmax(big[:, ::-1], axis=1), present
+    return coeffs, 2 * ks - (width - 1 - np.argmax(big[:, ::-1], axis=1)), present
 
 
 def _root_point(z: complex) -> tuple[float, float]:
@@ -349,28 +347,27 @@ def _root_point(z: complex) -> tuple[float, float]:
     return (theta, phi)
 
 
-def _root_points(coeffs: np.ndarray, deficiency: np.ndarray, k: int) -> list:
-    """Root points of stacked rank-k polynomials, one list per row as :func:`solve_axes` gives it.
+def _root_points(coeffs: np.ndarray, deficiency: np.ndarray, ks: np.ndarray) -> list:
+    """Root points of stacked rank-ks[i] polynomials, zero-padded, one list per row as :func:`solve_axes` gives it.
 
     As np.roots does, exact zeros at either end of C_0 ... C_degree are
     stripped from the companion matrix, the low ones becoming roots at Z = 0;
-    rows are grouped by degree and by the stripped span, one eigensolve per
-    group. Raises the DecompositionError of the lowest row whose roots miss
-    the residual bound; an eigensolve that does not converge raises at once.
+    rows are grouped by rank, degree and stripped span, one eigensolve per
+    group. A group with a row whose roots miss the residual bound, or whose
+    eigensolve does not converge, raises that row's DecompositionError.
     """
     out = [None] * len(coeffs)
     groups = {}
-    for row, (defic, nonzero) in enumerate(zip(deficiency.tolist(), (coeffs != 0).tolist())):
+    for row, (k, defic, nonzero) in enumerate(zip(ks.tolist(), deficiency.tolist(), (coeffs != 0).tolist())):
         degree = 2 * k - defic
         span = [r for r in range(degree + 1) if nonzero[r]] or [0]
-        groups.setdefault((degree, span[0], span[-1]), []).append(row)
-    failures = []
-    for (degree, low, high), rows in groups.items():
+        groups.setdefault((k, degree, span[0], span[-1]), []).append(row)
+    for (k, degree, low, high), rows in groups.items():
         if high == 0:  # no finite nonzero root
             for row in rows:
                 out[row] = [(0.0, 0.0)] * (2 * k - degree)
             continue
-        c = coeffs[rows]
+        c = coeffs[rows, :2 * k + 1]
         size = high - low
         roots = np.zeros((len(rows), 0), dtype=complex)
         if size:
@@ -378,7 +375,7 @@ def _root_points(coeffs: np.ndarray, deficiency: np.ndarray, k: int) -> list:
             companion = np.zeros((len(rows), size, size), dtype=complex)
             companion[:, 1:, :-1] = np.eye(size - 1)
             companion[:, 0, :] = -highest_first[:, 1:] / highest_first[:, :1]
-            roots = _eigvals(companion, rows, coeffs, k)
+            roots = _eigvals(companion, rows, coeffs[:, :2 * k + 1], k)
         if low:
             roots = np.concatenate((roots, np.zeros((len(rows), low), dtype=complex)), axis=1)
         order = np.lexsort((roots.imag, roots.real), axis=-1)
@@ -393,13 +390,10 @@ def _root_points(coeffs: np.ndarray, deficiency: np.ndarray, k: int) -> list:
         bad = values > bounds
         if bad.any():
             g, i = np.argwhere(bad)[0]
-            failures.append(_row_error(rows[g], f"root {roots[g, i]!r} of the rank-{k} polynomial has residual "
-                                       f"{values[g, i]:.3e} (bound {bounds[g, i]:.3e})", "roots"))
-            continue
+            raise DecompositionError(f"root {roots[g, i]!r} of the rank-{k} polynomial has residual "
+                                     f"{values[g, i]:.3e} (bound {bounds[g, i]:.3e})", stage="roots", index=rows[g])
         for row, row_roots in zip(rows, roots.tolist()):
             out[row] = [(0.0, 0.0)] * (2 * k - degree) + [_root_point(z) for z in row_roots]
-    if failures:
-        raise min(failures, key=lambda exc: exc.index)
     return out
 
 
@@ -418,9 +412,8 @@ def _eigvals(companion: np.ndarray, rows: list, coeffs: np.ndarray, k: int) -> n
         try:
             solved.append(np.linalg.eigvals(matrix[None]))
         except np.linalg.LinAlgError as exc:
-            raise _row_error(
-                row, f"root solver did not converge for rank {k} (coefficients {coeffs[row]!r})", "roots"
-            ) from exc
+            raise DecompositionError(f"root solver did not converge for rank {k} (coefficients {coeffs[row]!r})",
+                                     stage="roots", index=row) from exc
     return np.concatenate(solved)
 
 
@@ -435,14 +428,23 @@ def _canonical_rep(u: np.ndarray) -> np.ndarray:
 
 
 def _pairings(points: list) -> list:
-    """Antipodal pairing of stacked root-point sets of one even size, one axis list per set.
+    """Antipodal pairing of stacked root-point sets of even sizes, one axis list per set.
 
-    Each set is paired as :func:`pair_and_canonicalize` describes. Raises the
-    DecompositionError of the lowest set with a point that has no antipodal
-    partner.
+    Each set is paired as :func:`pair_and_canonicalize` describes, padded to
+    the largest with points of mismatch +inf that join no cluster. Raises the
+    DecompositionError of the lowest set holding a non-finite point, else of
+    the lowest set with a point that has no antipodal partner.
     """
-    count, n = len(points), len(points[0])
-    vecs = np.array([[_cartesian(theta, phi) for theta, phi in pts] for pts in points]).reshape(count, n, 3)
+    sizes = np.array([len(pts) for pts in points])
+    flat = [point for pts in points for point in pts]
+    bad = np.flatnonzero(~np.isfinite(np.array(flat, dtype=float)).all(axis=1))
+    if bad.size:
+        raise DecompositionError(f"root point {flat[bad[0]]} is not finite", stage="pairing",
+                                 index=int(np.searchsorted(np.cumsum(sizes), bad[0], side="right")))
+    count, n = len(points), int(sizes.max())
+    real = np.arange(n) < sizes[:, None]
+    vecs = np.array([[_cartesian(theta, phi) for theta, phi in pts] + [(0.0, 0.0, 0.0)] * (n - len(pts))
+                     for pts in points]).reshape(count, n, 3)
     a, b = vecs[:, :, None, :], vecs[:, None, :, :]
     # |v_i x v_j| with np.cross's products and np.linalg.norm's sum order
     c0 = a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1]
@@ -450,63 +452,80 @@ def _pairings(points: list) -> list:
     c2 = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
     cross = np.sqrt(c0 * c0 + c1 * c1 + c2 * c2)
     dots = vecs @ vecs.transpose(0, 2, 1)
+    both = real[:, :, None] & real[:, None, :]
     # largest number of points within 1e-3 rad of one point, itself included
-    cluster = (np.arctan2(cross, dots) < 1e-3).sum(axis=2).max(axis=1)
+    cluster = ((np.arctan2(cross, dots) < 1e-3) & both).sum(axis=2).max(axis=1)
     eff_tol = np.array([max(PAIRING_TOL, 100.0 * _EPS ** (1.0 / m)) for m in cluster.tolist()])
     mismatch = np.arctan2(cross, -dots)
-    mismatch[:, np.tri(n, dtype=bool)] = np.inf  # only pairs i < j
-    flat = mismatch.reshape(count, n * n)
+    mismatch[~both | np.tri(n, dtype=bool)] = np.inf  # only pairs i < j of real points
+    flat_mismatch = mismatch.reshape(count, n * n)
     every = np.arange(count)
     best = np.empty((count, n // 2), dtype=np.intp)
     ang = np.empty((count, n // 2))
     for rnd in range(n // 2):
-        best[:, rnd] = pick = flat.argmin(axis=1)
-        ang[:, rnd] = flat[every, pick]
+        best[:, rnd] = pick = flat_mismatch.argmin(axis=1)
+        ang[:, rnd] = flat_mismatch[every, pick]
         i, j = np.divmod(pick, n)
         mismatch[every, i] = mismatch[every, j] = np.inf
         mismatch[every, :, i] = mismatch[every, :, j] = np.inf
     first, second = np.divmod(best, n)
-    too_far = ang > eff_tol[:, None]
+    paired = np.arange(n // 2) < sizes[:, None] // 2  # rounds that matched two real points
+    too_far = (ang > eff_tol[:, None]) & paired
     if too_far.any():
         row, rnd = np.argwhere(too_far)[0]
-        raise _row_error(row, f"root point {points[row][first[row, rnd]]} has no antipodal partner "
-                         f"(best mismatch {ang[row, rnd]:.3e} rad > {eff_tol[row]:.3e}); "
-                         "the input tensor likely violates conjugation symmetry", "pairing")
+        raise DecompositionError(f"root point {points[row][first[row, rnd]]} has no antipodal partner "
+                                 f"(best mismatch {ang[row, rnd]:.3e} rad > {eff_tol[row]:.3e}); "
+                                 "the input tensor likely violates conjugation symmetry", stage="pairing",
+                                 index=int(row))
     # the pair difference averages out opposite-signed root noise
-    mean = vecs[every[:, None], first] - vecs[every[:, None], second]
-    mean /= np.sqrt(mean[..., None, :] @ mean[..., :, None])[..., 0]  # np.linalg.norm's dot product
-    out = []
-    for row in mean:
-        axes = [Axis.from_cartesian(_canonical_rep(u)) for u in row]
+    mean = (vecs[every[:, None], first] - vecs[every[:, None], second])[paired]
+    mean /= np.sqrt(mean[:, None, :] @ mean[:, :, None])[:, 0]  # np.linalg.norm's dot product
+    out, pairs = [], iter(mean)
+    for size in sizes.tolist():
+        axes = [Axis.from_cartesian(_canonical_rep(next(pairs))) for _ in range(size // 2)]
         # coarse-then-fine key so fp-level theta ties still order by phi
         axes.sort(key=lambda ax: (round(ax.theta, 9), round(ax.phi, 9), ax.theta, ax.phi))
         out.append(axes)
     return out
 
 
-def _coupled(comps: np.ndarray) -> np.ndarray:
-    """Nested stretched coupling of stacked rank-1 components (..., k, 3) to (..., 2k+1)."""
-    acc = comps[..., 0, :]
-    for rank in range(2, comps.shape[-2] + 1):
-        acc = couple(acc, comps[..., rank - 1, :], rank)
-    return acc
+def _coupled(axes_rows) -> np.ndarray:
+    """Nested stretched couplings (...((Q1 x Q2)^2 x Q3)^3 ...) of stacked axis sets, in one shared chain.
+
+    Step r couples every set of at least r axes in one :func:`couple` call.
+    Row i of the result holds the rank-k tensor of set i's k axes, zero-padded.
+    """
+    ks = np.array([len(axes) for axes in axes_rows])
+    order = np.argsort(-ks, kind="stable")  # by descending k: the sets still coupling at a step are a prefix
+    top = int(ks[order[0]])
+    live = np.cumsum(np.bincount(ks)[::-1])[::-1].tolist() + [0]  # sets with k >= r, per r
+    chain = np.array([[_spherical_components(ax.theta, ax.phi) for ax in axes_rows[row]] + [(0j, 0j, 0j)] * (top - k)
+                      for row, k in zip(order.tolist(), ks[order].tolist())])
+    out = np.zeros((len(ks), 2 * top + 1), dtype=complex)
+    acc = chain[:, 0]
+    for rank in range(1, top + 1):
+        if rank > 1:
+            acc = couple(acc[:live[rank]], chain[:live[rank], rank - 1], rank)
+        out[order[live[rank + 1]:live[rank]], :2 * rank + 1] = acc[live[rank + 1]:]
+    return out
 
 
 def _scales(targets: np.ndarray, axes_rows: list) -> list:
-    """(r, flipped, residual) of stacked rank-k components against their k axes, as :func:`scalar_r`.
+    """(r, flipped, residual) of stacked components against their axes, as :func:`scalar_r`.
 
+    Row i of ``targets`` holds t[k, +k ... -k] for its k axes, zero-padded.
     Raises the DecompositionError of the lowest row whose coupled axis tensor vanishes.
     """
-    k = len(axes_rows[0])
-    comps = np.array([[_spherical_components(ax.theta, ax.phi) for ax in axes] for axes in axes_rows])
-    prod = _coupled(comps.reshape(len(axes_rows), k, 3))
+    prod = _coupled(axes_rows)
+    targets = targets[:, :prod.shape[1]]
     every = np.arange(len(prod))
     imax = np.argmax(np.abs(prod), axis=1)
     pmax = prod[every, imax]
     vanishing = np.abs(pmax) < 1e-10
     if vanishing.any():
-        raise _row_error(np.argmax(vanishing), f"coupled axis tensor vanishes at rank {k} "
-                         "while the tensor components do not", "scale")
+        row = int(np.argmax(vanishing))
+        raise DecompositionError(f"coupled axis tensor vanishes at rank {len(axes_rows[row])} "
+                                 "while the tensor components do not", stage="scale", index=row)
     r = (targets[every, imax] / pmax).real
     flipped = r < 0.0
     r = np.where(flipped, -r, r)
@@ -516,9 +535,11 @@ def _scales(targets: np.ndarray, axes_rows: list) -> list:
 
 
 def reconstruct_tensor(form: MultiaxialForm) -> TensorComponents:
-    """Rebuild t[k,q] = r_k P[k,q] from the axes; absent ranks give zeros."""
+    """Rebuild t[k,q] = r_k P[k,q] from the axes, all ranks in one coupling chain; absent ranks give zeros."""
+    decs = [form.ranks.get(k) for k in range(1, form.j.twice + 1)]
+    present = [dec.axes for dec in decs if dec is not None]
+    prods = iter(_coupled(present) if present else ())
     blocks = [np.ones(1)]
-    for k in range(1, form.j.twice + 1):
-        dec = form.ranks.get(k)
-        blocks.append(np.zeros(2 * k + 1) if dec is None else dec.r * coupled_axes_tensor(dec.axes))
+    for k, dec in enumerate(decs, start=1):
+        blocks.append(np.zeros(2 * k + 1) if dec is None else dec.r * next(prods)[:2 * len(dec.axes) + 1])
     return TensorComponents(form.j, np.concatenate(blocks))

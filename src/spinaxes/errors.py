@@ -26,12 +26,12 @@ class DecompositionError(RuntimeError):
     one and report 0. Each is ``None`` where not known.
     """
 
-    index = None
-
-    def __init__(self, message: str, *, rank: int | None = None, stage: str | None = None):
+    def __init__(self, message: str, *, rank: int | None = None, stage: str | None = None,
+                 index: int | None = None):
         super().__init__(message)
         self.rank = rank
         self.stage = stage
+        self.index = index
 
 
 class StateFileError(ValueError):

@@ -10,10 +10,11 @@ the convention-free absolute cosines are carried alongside.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .angular import _TWO_PI, HalfInt, clebsch_gordan, euler_rotation_cartesian
+from .angular import _TWO_PI, HalfInt, _cartesian, _spherical_components, clebsch_gordan, euler_rotation_cartesian
 from .axes import MultiaxialForm, decompose
 from .errors import DomainError
 from .tensors import DensityMatrix, rotate_tensor, to_tensor
@@ -59,6 +60,15 @@ def invariant_count(j) -> int:
     return math.comb(n_axes, 2) + tj
 
 
+@lru_cache(maxsize=None)
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only upper-triangle index pair (i < j) of n axes."""
+    rows, cols = np.triu_indices(n, 1)
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
+
+
 def enumerate_invariants(form: MultiaxialForm) -> InvariantSet:
     """All invariants of a decomposition: r_k plus (Qi x Qj)^0_0 over every axis pair.
 
@@ -68,15 +78,15 @@ def enumerate_invariants(form: MultiaxialForm) -> InvariantSet:
     labeled = form.labeled_axes()
     labels = tuple(lbl for lbl, _ in labeled)
     n = len(labeled)
-    comps = np.array([ax.components for _, ax in labeled]).reshape(n, 3)
+    comps = np.array([_spherical_components(ax.theta, ax.phi) for _, ax in labeled]).reshape(n, 3)
     coupled = np.zeros((n, n), dtype=complex)
     # couple(a, b, 0)[0] for every pair, summed in couple's order: sum_q C(1 1 0; q -q 0) a_q b_-q
     for i, weight in enumerate(_CG_SCALAR):
         coupled += (weight * comps[:, i])[:, None] * comps[None, :, 2 - i]
-    rows, cols = np.triu_indices(n, 1)
-    values = coupled.real[rows, cols].tolist()
-    pairwise = [(labels[a], labels[b], v) for a, b, v in zip(rows.tolist(), cols.tolist(), values)]
-    vecs = np.array([ax.cartesian for _, ax in labeled]).reshape(n, 3)
+    rows, cols = _pairs(n)
+    picks = np.fromiter(labels, dtype=object, count=n)  # gathers the labels of every pair at once
+    pairwise = tuple(zip(picks[rows].tolist(), picks[cols].tolist(), coupled.real[rows, cols].tolist()))
+    vecs = np.array([_cartesian(ax.theta, ax.phi) for _, ax in labeled]).reshape(n, 3)
     abs_cos = np.abs(vecs @ vecs.T)
     np.fill_diagonal(abs_cos, 1.0)
     scalars = form.scalars
@@ -84,7 +94,7 @@ def enumerate_invariants(form: MultiaxialForm) -> InvariantSet:
     return InvariantSet(
         j=form.j,
         scalars=scalars,
-        pairwise=tuple(pairwise),
+        pairwise=pairwise,
         abs_cosines=abs_cos,
         axis_labels=labels,
         count=len(scalars) + len(pairwise),

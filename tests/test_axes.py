@@ -14,6 +14,8 @@ from spinaxes.axes import (
     RESIDUAL_TOL,
     ROOT_RESIDUAL_TOL,
     Axis,
+    MultiaxialForm,
+    RankDecomposition,
     RankPolynomial,
     _canonical_rep,
     _root_point,
@@ -216,6 +218,14 @@ class TestPairAndCanonicalize:
     def test_odd_count_raises(self):
         with pytest.raises(DecompositionError):
             pair_and_canonicalize([(0.3, 0.0)])
+
+    def test_non_finite_point_raises(self):
+        for points, bad in (([(math.nan, 0.0), (0.3, 0.0)], "(nan, 0.0)"),
+                            ([(0.3, 0.0), (math.pi - 0.3, math.pi), (0.5, 1.0), (0.2, math.inf)], "(0.2, inf)")):
+            with pytest.raises(DecompositionError) as info:
+                pair_and_canonicalize(points)
+            assert str(info.value) == f"root point {bad} is not finite"
+            assert (info.value.index, info.value.stage) == (0, "pairing")
 
     def test_coincident_axes_preserved(self):
         # a doubly degenerate direction must come back as two coincident axes
@@ -489,6 +499,69 @@ class TestCoupleTable:
                 assert np.array_equal(couple(a[0], b, rank)[0], batch[0])  # batch axes broadcast
 
 
+def reference_chain(axes):
+    """(...((Q1 x Q2)^2 x Q3)^3 ...)^k of one axis set, one couple call per step."""
+    prod = axes[0].components
+    for rank, axis in enumerate(axes[1:], start=2):
+        prod = couple(prod, axis.components, rank)
+    return prod
+
+
+def random_axes(rng, k):
+    return [Axis(math.acos(rng.uniform(-1, 1)), rng.uniform(0, 2 * math.pi)) for _ in range(k)]
+
+
+class TestSharedCouplingChain:
+    def test_reconstruct_tensor_matches_per_rank_chain(self):
+        rng = np.random.default_rng(47)
+        for tj in (1, 2, 5, 12, 16):
+            for absent in (set(), {tj}, {1, tj // 2 + 1}, set(range(1, tj + 1))):
+                ranks = {k: None if k in absent else RankDecomposition(tuple(random_axes(rng, k)),
+                                                                        rng.uniform(0.1, 2.0), False, 0.0)
+                         for k in range(1, tj + 1)}
+                form = MultiaxialForm(j=HalfInt(tj), ranks=ranks)
+                expected = [np.ones(1)] + [np.zeros(2 * k + 1) if dec is None else dec.r * reference_chain(dec.axes)
+                                           for k, dec in ranks.items()]
+                assert np.array_equal(reconstruct_tensor(form).array, np.concatenate(expected))
+                for dec in filter(None, ranks.values()):
+                    assert np.array_equal(coupled_axes_tensor(dec.axes), reference_chain(dec.axes))
+
+    def test_scales_match_per_rank_chain(self):
+        rng = np.random.default_rng(48)
+        for tj in (1, 2, 5, 12, 16):
+            t = random_tensor_components(HalfInt(tj), rng)
+            ks = [k for k in range(tj, 0, -1) if k != tj // 2 + 1 or tj == 1] * 2  # mixed ranks, out of order
+            axes_rows = [random_axes(rng, k) for k in ks]
+            targets = np.zeros((len(ks), 2 * tj + 3), dtype=complex)  # padded past the widest row
+            for row, k in enumerate(ks):
+                targets[row, :2 * k + 1] = t.rank_array(k)
+            expected = []
+            for k, axes in zip(ks, axes_rows):
+                prod = reference_chain(axes)
+                imax = int(np.argmax(np.abs(prod)))
+                r = float((t.rank_array(k)[imax] / prod[imax]).real)
+                flipped = r < 0.0
+                if flipped:
+                    r, prod = -r, -prod
+                expected.append((r, flipped, float(np.max(np.abs(t.rank_array(k) - r * prod)))))
+            assert spinaxes.axes._scales(targets, axes_rows) == expected
+
+    def test_one_couple_call_per_step(self, monkeypatch):
+        calls = []
+        real = spinaxes.axes.couple
+
+        def counting(a, b, rank):
+            calls.append(rank)
+            return real(a, b, rank)
+
+        monkeypatch.setattr(spinaxes.axes, "couple", counting)
+        form = decompose(random_tensor_components(HalfInt(5), np.random.default_rng(49)))
+        assert calls == [2, 3, 4, 5]
+        calls.clear()
+        reconstruct_tensor(form)
+        assert calls == [2, 3, 4, 5]
+
+
 def reference_decompose(t, residual_tol=RESIDUAL_TOL, pairing_tol=PAIRING_TOL):
     """The per-state decompose that decompose_many replaced, kept as its oracle.
 
@@ -717,6 +790,35 @@ class TestDecomposeMany:
         with pytest.raises(DecompositionError) as info:
             decompose_many([t, coherent])
         assert (info.value.index, info.value.rank, info.value.stage) == (0, 6, "roots")
+
+    def test_lower_rank_failing_at_a_later_stage_wins(self, monkeypatch):
+        # rank 6 fails at pairing; rank 8 fails at its eigensolve, a stage that runs before pairing
+        coherent = to_tensor(symmetrize_pure([Spinor(0.7, 2.3)] * 8))
+        good = random_tensor_components(HalfInt(8), np.random.default_rng(50))
+        expected = first_failure(reference_decompose, [good, coherent])
+        c = np.sqrt([math.comb(16, r) for r in range(17)]) * coherent.rank_array(8)[::-1]
+        marked = -c[15] / c[16]  # top-left entry of its rank-8 companion matrix
+        real = np.linalg.eigvals
+        failed = []
+
+        def eigvals(matrices):
+            if np.any(np.abs(matrices[..., 0, 0] - marked) < 1e-12):
+                failed.append(len(matrices))
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return real(matrices)
+
+        monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+        with pytest.raises(DecompositionError) as info:
+            decompose(coherent)
+        assert failed == [1, 1]  # the rank-8 eigensolve failed, batched and then alone
+        assert (info.value.index, info.value.rank, info.value.stage) == (0, 6, "pairing")
+        assert str(info.value) == expected[2]
+        failed.clear()
+        with pytest.raises(DecompositionError) as info:
+            decompose_many([good, coherent])
+        assert failed == [2, 1]  # batched with the rank-8 polynomial of good, then alone
+        assert (info.value.index, type(info.value), str(info.value)) == expected
+        assert (info.value.rank, info.value.stage) == (6, "pairing")
 
     def test_single_item_stage_errors_have_index_zero(self, monkeypatch):
         with pytest.raises(DecompositionError) as info:
