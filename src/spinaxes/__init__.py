@@ -2,9 +2,10 @@
 
 A symmetric N-qubit (spin-j, j = N/2) density matrix is expanded in
 statistical tensor components t[k,q]; each rank k maps to k axes on the unit
-sphere plus one non-negative scale r_k, and the scales together with all
-pairwise axis couplings form a complete set of rotational (local-unitary)
-invariants.
+sphere plus one non-negative scale r_k. The scales and all pairwise axis
+couplings are rotational (local-unitary) invariants, though not a complete set:
+a state and its transpose, in general not a rotation of it, give the same
+scales and sorted |pairwise| values.
 """
 
 from .angular import (

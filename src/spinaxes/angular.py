@@ -107,10 +107,6 @@ class HalfInt:
         raise DomainError(f"cannot interpret {value!r} as a half-integer")
 
     @property
-    def value(self) -> float:
-        return self.twice / 2.0
-
-    @property
     def is_integer(self) -> bool:
         return self.twice % 2 == 0
 
@@ -124,15 +120,6 @@ class HalfInt:
 
     def __repr__(self) -> str:
         return f"HalfInt({self.twice})"
-
-    def __add__(self, other):
-        return HalfInt(self.twice + HalfInt.coerce(other).twice)
-
-    def __sub__(self, other):
-        return HalfInt(self.twice - HalfInt.coerce(other).twice)
-
-    def __neg__(self):
-        return HalfInt(-self.twice)
 
 
 def _twice(value) -> int:
@@ -371,32 +358,31 @@ def couple(a, b, rank: int) -> np.ndarray:
     return out
 
 
-def _spherical_components(theta: float, phi: float) -> tuple[complex, complex, complex]:
-    s = math.sin(theta)
-    return (
-        -s * cmath.exp(1j * phi) / math.sqrt(2.0),
-        complex(math.cos(theta)),
-        s * cmath.exp(-1j * phi) / math.sqrt(2.0),
-    )
+def unit_vector_components(theta, phi) -> np.ndarray:
+    """Spherical (rank-1) components of the unit vectors at polar angles (theta, phi).
 
-
-def unit_vector_components(theta: float, phi: float) -> np.ndarray:
-    """Spherical (rank-1) components of the unit vector at polar angles (theta, phi).
-
-    Ordered (+1, 0, -1): Q_0 = cos(theta), Q_{+-1} = -+ sin(theta) exp(+-i phi) / sqrt(2),
-    i.e. sqrt(4 pi / 3) Y_{1q}(theta, phi).
+    Ordered (+1, 0, -1) along a new last axis: Q_0 = cos(theta),
+    Q_{+-1} = -+ sin(theta) exp(+-i phi) / sqrt(2), i.e. sqrt(4 pi / 3) Y_{1q}(theta, phi).
+    Arrays of theta and phi broadcast; scalars give shape (3,). Each element has
+    the bits of the formula in Python's scalar complex arithmetic, which up to
+    Python 3.13 takes a real factor or divisor as a complex with imaginary part 0.
     """
-    return np.array(_spherical_components(theta, phi))
+    s, c = np.sin(theta), np.cos(phi)
+    re = s * c / math.sqrt(2.0)
+    im = (-(s * np.sin(phi)) + 0.0 * c) / math.sqrt(2.0)  # shared by Q_{-1} = -conj(Q_{+1})
+    out = np.empty(np.broadcast(theta, phi).shape + (3,), dtype=complex)
+    # the + 0.0 terms give a zero part the sign Python's complex product and quotient give it
+    out.real[..., 0], out.real[..., 1], out.real[..., 2] = -re + 0.0, np.cos(theta), re + 0.0
+    out.imag[..., 0], out.imag[..., 1], out.imag[..., 2] = im, 0.0, im
+    return out
 
 
-def _cartesian(theta: float, phi: float) -> tuple[float, float, float]:
-    s = math.sin(theta)
-    return (s * math.cos(phi), s * math.sin(phi), math.cos(theta))
-
-
-def unit_vector(theta: float, phi: float) -> np.ndarray:
-    """Cartesian unit vector at polar angles (theta, phi)."""
-    return np.array(_cartesian(theta, phi))
+def unit_vector(theta, phi) -> np.ndarray:
+    """Cartesian unit vectors at polar angles (theta, phi), (x, y, z) along a new last axis; arrays broadcast."""
+    s = np.sin(theta)
+    out = np.empty(np.broadcast(theta, phi).shape + (3,))
+    out[..., 0], out[..., 1], out[..., 2] = s * np.cos(phi), s * np.sin(phi), np.cos(theta)
+    return out
 
 
 def angle_between(a, b) -> float:

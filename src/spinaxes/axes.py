@@ -18,7 +18,10 @@ A spin-j state thus maps to j(2j+1) axes plus 2j non-negative scalars.
 Every stage works on all (item, rank) rows of a stack of same-j tensors in
 one pass (:func:`decompose_many`); the single-item functions build_polynomial,
 solve_axes, pair_and_canonicalize, scalar_r and decompose run the same
-stacked code on a stack of one.
+stacked code on a stack of one. Between stages, root points and axes travel
+as zero-padded (theta, phi) arrays, one row per (item, rank); :class:`Axis`
+objects are built only when a decomposition is returned, and functions given
+Axis objects read their angles into one array per call.
 """
 
 import cmath
@@ -27,10 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angular import (
-    HalfInt, _cartesian, _spherical_components, _wrap_azimuth, angle_between, couple, unit_vector,
-    unit_vector_components,
-)
+from .angular import HalfInt, _wrap_azimuth, angle_between, couple, unit_vector, unit_vector_components
 from .errors import DecompositionError, DomainError, ValidationError
 from .tensors import TensorComponents
 
@@ -74,16 +74,7 @@ class Axis:
 
     @classmethod
     def from_cartesian(cls, vec) -> "Axis":
-        v = np.asarray(vec, dtype=float)
-        norm = float(np.linalg.norm(v))
-        if norm < 1e-300:
-            raise DomainError("cannot build an axis from the zero vector")
-        v = v / norm
-        theta = math.acos(min(1.0, max(-1.0, v[2])))
-        if math.hypot(v[0], v[1]) < 1e-12:  # at the poles the azimuth is noise
-            return cls(0.0 if v[2] > 0.0 else math.pi, 0.0)
-        phi = math.atan2(v[1], v[0])
-        return cls(theta, phi)
+        return cls(*_polar(np.asarray(vec, dtype=float).reshape(1, 3))[0])
 
     @property
     def cartesian(self) -> np.ndarray:
@@ -189,9 +180,11 @@ def solve_axes(poly: RankPolynomial) -> list[tuple[float, float]]:
 
     Finite roots come from the companion-matrix eigensolve (as np.roots) and
     are checked against a residual bound of ROOT_RESIDUAL_TOL relative to the
-    coefficient scale; failures raise DecompositionError with diagnostics.
+    coefficient scale, times max(1, |Z|)^degree (for |Z| > 1 both sides are divided
+    by it, so neither overflows); failures raise DecompositionError with diagnostics.
     """
-    return _root_points(poly.coefficients[None], np.array([poly.degree_deficiency]), np.array([poly.k]))[0]
+    points = _root_points(poly.coefficients[None], np.array([poly.degree_deficiency]), np.array([poly.k]))
+    return [tuple(point) for point in points[0].tolist()]
 
 
 def pair_and_canonicalize(points) -> list[Axis]:
@@ -210,7 +203,8 @@ def pair_and_canonicalize(points) -> list[Axis]:
         raise DecompositionError(f"expected an even number of root points, got {len(pts)}", stage="pairing", index=0)
     if not pts:
         return []
-    return _pairings([pts])[0]
+    angles = _pairings(np.array(pts, dtype=float).reshape(1, len(pts), 2), np.array([len(pts) // 2]))
+    return [Axis(theta, phi) for theta, phi in angles[0].tolist()]
 
 
 def coupled_axes_tensor(axes) -> np.ndarray:
@@ -219,10 +213,7 @@ def coupled_axes_tensor(axes) -> np.ndarray:
     Rank equals the number of axes; the result is symmetric under axis
     reordering and flips sign when any single axis is inverted.
     """
-    axes = list(axes)
-    if not axes:
-        raise DomainError("need at least one axis")
-    return _coupled([axes])[0]
+    return _coupled(*_angle_rows([list(axes)]))[0]
 
 
 def scalar_r(t: TensorComponents, k: int, axes) -> tuple[float, bool, float]:
@@ -236,10 +227,7 @@ def scalar_r(t: TensorComponents, k: int, axes) -> tuple[float, bool, float]:
     axes = list(axes)
     if len(axes) != k:
         raise DomainError(f"rank {k} needs exactly {k} axes, got {len(axes)}")
-    target = t.rank_array(k)
-    if not axes:
-        raise DomainError("need at least one axis")
-    return _scales(target[None], [axes])[0]
+    return _scales(t.rank_array(k)[None], *_angle_rows([axes]))[0]
 
 
 def decompose(t: TensorComponents) -> MultiaxialForm:
@@ -306,21 +294,21 @@ def _ranks(rows: np.ndarray, ks: np.ndarray) -> list:
     decs = [None] * len(rows)
     if not items.size:
         return decs
+    ks = ks[items]
     try:
-        axes_rows = _pairings(_root_points(coeffs[items], deficiency[items], ks[items]))
-        scales = _scales(rows[items], axes_rows)
+        angles = _pairings(_root_points(coeffs[items], deficiency[items], ks), ks)
+        scales = _scales(rows[items], angles, ks)
         for row, (_, _, residual) in enumerate(scales):
             if residual > RESIDUAL_TOL:
                 raise DecompositionError(f"reconstruction residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e}",
                                          stage="residual", index=row)
     except DecompositionError as exc:
-        row = int(items[exc.index])
-        k = int(ks[row])
-        raise DecompositionError(f"rank {k}: {exc}", rank=k, stage=exc.stage, index=row) from exc
-    for item, axes, (r, flipped, residual) in zip(items.tolist(), axes_rows, scales):
-        if flipped:
-            axes[-1] = axes[-1].antipode()
-        decs[item] = RankDecomposition(tuple(axes), r, flipped, residual)
+        k = int(ks[exc.index])
+        raise DecompositionError(f"rank {k}: {exc}", rank=k, stage=exc.stage, index=int(items[exc.index])) from exc
+    for item, k, pairs, (r, flipped, residual) in zip(items.tolist(), ks.tolist(), angles.tolist(), scales):
+        if flipped:  # the last axis becomes its antipode, as Axis.antipode makes it
+            pairs[k - 1] = (math.pi - pairs[k - 1][0], pairs[k - 1][1] + math.pi)
+        decs[item] = RankDecomposition(tuple(Axis(theta, phi) for theta, phi in pairs[:k]), r, flipped, residual)
     return decs
 
 
@@ -347,16 +335,17 @@ def _root_point(z: complex) -> tuple[float, float]:
     return (theta, phi)
 
 
-def _root_points(coeffs: np.ndarray, deficiency: np.ndarray, ks: np.ndarray) -> list:
-    """Root points of stacked rank-ks[i] polynomials, zero-padded, one list per row as :func:`solve_axes` gives it.
+def _root_points(coeffs: np.ndarray, deficiency: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """Root points (theta, phi) of stacked rank-ks[i] polynomials as :func:`solve_axes` gives them, zero-padded.
 
-    As np.roots does, exact zeros at either end of C_0 ... C_degree are
+    Row i of the (rows, 2 max(ks), 2) result holds its 2 ks[i] points. As
+    np.roots does, exact zeros at either end of C_0 ... C_degree are
     stripped from the companion matrix, the low ones becoming roots at Z = 0;
     rows are grouped by rank, degree and stripped span, one eigensolve per
     group. A group with a row whose roots miss the residual bound, or whose
     eigensolve does not converge, raises that row's DecompositionError.
     """
-    out = [None] * len(coeffs)
+    out = np.zeros((len(coeffs), 2 * int(ks.max()), 2))  # deficiency roots sit at (0, 0)
     groups = {}
     for row, (k, defic, nonzero) in enumerate(zip(ks.tolist(), deficiency.tolist(), (coeffs != 0).tolist())):
         degree = 2 * k - defic
@@ -364,8 +353,6 @@ def _root_points(coeffs: np.ndarray, deficiency: np.ndarray, ks: np.ndarray) -> 
         groups.setdefault((k, degree, span[0], span[-1]), []).append(row)
     for (k, degree, low, high), rows in groups.items():
         if high == 0:  # no finite nonzero root
-            for row in rows:
-                out[row] = [(0.0, 0.0)] * (2 * k - degree)
             continue
         c = coeffs[rows, :2 * k + 1]
         size = high - low
@@ -380,20 +367,22 @@ def _root_points(coeffs: np.ndarray, deficiency: np.ndarray, ks: np.ndarray) -> 
             roots = np.concatenate((roots, np.zeros((len(rows), low), dtype=complex)), axis=1)
         order = np.lexsort((roots.imag, roots.real), axis=-1)
         roots = roots[np.arange(len(rows))[:, None], order]
-        # Horner in np.polyval's order over C_degree ... C_0
+        # Horner in np.polyval's order over C_degree ... C_0 at Z, or for |Z| > 1 over C_0 ... C_degree
+        # at 1/Z, which gives |p(Z)| / |Z|^degree: the bound divided through, so neither can overflow
+        big = np.abs(roots) > 1.0
+        x = np.divide(1.0, roots, out=roots.copy(), where=big)
+        seq = np.where(big[..., None], c[:, None, :degree + 1], c[:, None, degree::-1])
         values = np.zeros_like(roots)
-        for col in range(degree, -1, -1):
-            values = values * roots + c[:, col:col + 1]
+        for col in range(degree + 1):
+            values = values * x + seq[..., col]
         values = np.abs(values)
-        scale = np.abs(c).max(axis=1, keepdims=True)
-        bounds = ROOT_RESIDUAL_TOL * scale * (degree + 1) * np.maximum(1.0, np.abs(roots)) ** degree
-        bad = values > bounds
+        bound = ROOT_RESIDUAL_TOL * np.abs(c).max(axis=1) * (degree + 1)
+        bad = ~(values <= bound[:, None])  # a NaN residual fails too
         if bad.any():
             g, i = np.argwhere(bad)[0]
             raise DecompositionError(f"root {roots[g, i]!r} of the rank-{k} polynomial has residual "
-                                     f"{values[g, i]:.3e} (bound {bounds[g, i]:.3e})", stage="roots", index=rows[g])
-        for row, row_roots in zip(rows, roots.tolist()):
-            out[row] = [(0.0, 0.0)] * (2 * k - degree) + [_root_point(z) for z in row_roots]
+                                     f"{values[g, i]:.3e} (bound {bound[g]:.3e})", stage="roots", index=rows[g])
+        out[rows, 2 * k - degree:2 * k] = [[_root_point(z) for z in row_roots] for row_roots in roots.tolist()]
     return out
 
 
@@ -418,33 +407,42 @@ def _eigvals(companion: np.ndarray, rows: list, coeffs: np.ndarray, k: int) -> n
 
 
 def _canonical_rep(u: np.ndarray) -> np.ndarray:
-    # keep the representative with z > 0; on a tie, x > 0, then y > 0
-    for comp in (u[2], u[0], u[1]):
-        if comp > 0.0:
-            return u
-        if comp < 0.0:
-            return -u
-    return u
+    """Each row of u, or its negative: the representative with z > 0; on a tie, x > 0, then y > 0."""
+    zxy = u[:, [2, 0, 1]]
+    first = zxy[np.arange(len(u)), np.argmax(zxy != 0.0, axis=1)]  # first nonzero of z, x, y
+    return np.where(first[:, None] < 0.0, -u, u)
 
 
-def _pairings(points: list) -> list:
-    """Antipodal pairing of stacked root-point sets of even sizes, one axis list per set.
+def _polar(vecs: np.ndarray) -> list[tuple[float, float]]:
+    """(theta, phi) of each row of stacked 3-vectors as :class:`Axis` holds it, the inverse of unit_vector.
 
-    Each set is paired as :func:`pair_and_canonicalize` describes, padded to
-    the largest with points of mismatch +inf that join no cluster. Raises the
-    DecompositionError of the lowest set holding a non-finite point, else of
-    the lowest set with a point that has no antipodal partner.
+    At the poles the azimuth is noise and is set to 0. A zero vector raises DomainError.
     """
-    sizes = np.array([len(pts) for pts in points])
-    flat = [point for pts in points for point in pts]
-    bad = np.flatnonzero(~np.isfinite(np.array(flat, dtype=float)).all(axis=1))
+    norms = np.sqrt(vecs[:, None, :] @ vecs[:, :, None])[:, 0]  # np.linalg.norm's dot product
+    if (norms < 1e-300).any():
+        raise DomainError("cannot build an axis from the zero vector")
+    return [(0.0 if z > 0.0 else math.pi, 0.0) if math.hypot(x, y) < 1e-12
+            else (math.acos(min(1.0, max(-1.0, z))), _wrap_azimuth(math.atan2(y, x)))
+            for x, y, z in (vecs / norms).tolist()]
+
+
+def _pairings(points: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """Antipodal pairing of stacked root-point sets, row i holding 2 ks[i] points (theta, phi), zero-padded.
+
+    Each set is paired as :func:`pair_and_canonicalize` describes; padded
+    points get mismatch +inf and join no cluster. Returns the (theta, phi) of
+    each set's ks[i] axes, zero-padded to shape (rows, points.shape[1] // 2, 2).
+    Raises the DecompositionError of the lowest set holding a non-finite point,
+    else of the lowest set with a point that has no antipodal partner.
+    """
+    count, n = points.shape[:2]
+    real = np.arange(n) < 2 * ks[:, None]
+    bad = np.argwhere(real & ~np.isfinite(points).all(axis=2))
     if bad.size:
-        raise DecompositionError(f"root point {flat[bad[0]]} is not finite", stage="pairing",
-                                 index=int(np.searchsorted(np.cumsum(sizes), bad[0], side="right")))
-    count, n = len(points), int(sizes.max())
-    real = np.arange(n) < sizes[:, None]
-    vecs = np.array([[_cartesian(theta, phi) for theta, phi in pts] + [(0.0, 0.0, 0.0)] * (n - len(pts))
-                     for pts in points]).reshape(count, n, 3)
+        row, i = bad[0]
+        raise DecompositionError(f"root point {tuple(points[row, i].tolist())} is not finite", stage="pairing",
+                                 index=int(row))
+    vecs = unit_vector(points[..., 0], points[..., 1])
     a, b = vecs[:, :, None, :], vecs[:, None, :, :]
     # |v_i x v_j| with np.cross's products and np.linalg.norm's sum order
     c0 = a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1]
@@ -469,38 +467,46 @@ def _pairings(points: list) -> list:
         mismatch[every, i] = mismatch[every, j] = np.inf
         mismatch[every, :, i] = mismatch[every, :, j] = np.inf
     first, second = np.divmod(best, n)
-    paired = np.arange(n // 2) < sizes[:, None] // 2  # rounds that matched two real points
+    paired = np.arange(n // 2) < ks[:, None]  # rounds that matched two real points
     too_far = (ang > eff_tol[:, None]) & paired
     if too_far.any():
         row, rnd = np.argwhere(too_far)[0]
-        raise DecompositionError(f"root point {points[row][first[row, rnd]]} has no antipodal partner "
-                                 f"(best mismatch {ang[row, rnd]:.3e} rad > {eff_tol[row]:.3e}); "
+        raise DecompositionError(f"root point {tuple(points[row, first[row, rnd]].tolist())} has no antipodal "
+                                 f"partner (best mismatch {ang[row, rnd]:.3e} rad > {eff_tol[row]:.3e}); "
                                  "the input tensor likely violates conjugation symmetry", stage="pairing",
                                  index=int(row))
     # the pair difference averages out opposite-signed root noise
     mean = (vecs[every[:, None], first] - vecs[every[:, None], second])[paired]
     mean /= np.sqrt(mean[:, None, :] @ mean[:, :, None])[:, 0]  # np.linalg.norm's dot product
-    out, pairs = [], iter(mean)
-    for size in sizes.tolist():
-        axes = [Axis.from_cartesian(_canonical_rep(next(pairs))) for _ in range(size // 2)]
+    polar = iter(_polar(_canonical_rep(mean)))
+    out = np.zeros((count, n // 2, 2))
+    for row, k in enumerate(ks.tolist()):
         # coarse-then-fine key so fp-level theta ties still order by phi
-        axes.sort(key=lambda ax: (round(ax.theta, 9), round(ax.phi, 9), ax.theta, ax.phi))
-        out.append(axes)
+        out[row, :k] = sorted((next(polar) for _ in range(k)), key=lambda a: (round(a[0], 9), round(a[1], 9), *a))
     return out
 
 
-def _coupled(axes_rows) -> np.ndarray:
+def _angle_rows(axes_rows: list) -> tuple[np.ndarray, np.ndarray]:
+    """(theta, phi) of stacked axis sets, zero-padded to shape (sets, largest set, 2), and each set's size."""
+    ks = [len(axes) for axes in axes_rows]
+    if not min(ks):
+        raise DomainError("need at least one axis")
+    pad = [(0.0, 0.0)] * max(ks)
+    return np.array([[(ax.theta, ax.phi) for ax in axes] + pad[len(axes):] for axes in axes_rows]), np.array(ks)
+
+
+def _coupled(angles: np.ndarray, ks: np.ndarray) -> np.ndarray:
     """Nested stretched couplings (...((Q1 x Q2)^2 x Q3)^3 ...) of stacked axis sets, in one shared chain.
 
-    Step r couples every set of at least r axes in one :func:`couple` call.
-    Row i of the result holds the rank-k tensor of set i's k axes, zero-padded.
+    Row i of ``angles`` holds the (theta, phi) of set i's ks[i] axes,
+    zero-padded. Step r couples every set of at least r axes in one
+    :func:`couple` call. Row i of the result holds the rank-ks[i] tensor of
+    set i, zero-padded.
     """
-    ks = np.array([len(axes) for axes in axes_rows])
     order = np.argsort(-ks, kind="stable")  # by descending k: the sets still coupling at a step are a prefix
     top = int(ks[order[0]])
     live = np.cumsum(np.bincount(ks)[::-1])[::-1].tolist() + [0]  # sets with k >= r, per r
-    chain = np.array([[_spherical_components(ax.theta, ax.phi) for ax in axes_rows[row]] + [(0j, 0j, 0j)] * (top - k)
-                      for row, k in zip(order.tolist(), ks[order].tolist())])
+    chain = unit_vector_components(angles[order, :top, 0], angles[order, :top, 1])
     out = np.zeros((len(ks), 2 * top + 1), dtype=complex)
     acc = chain[:, 0]
     for rank in range(1, top + 1):
@@ -510,13 +516,14 @@ def _coupled(axes_rows) -> np.ndarray:
     return out
 
 
-def _scales(targets: np.ndarray, axes_rows: list) -> list:
+def _scales(targets: np.ndarray, angles: np.ndarray, ks: np.ndarray) -> list:
     """(r, flipped, residual) of stacked components against their axes, as :func:`scalar_r`.
 
-    Row i of ``targets`` holds t[k, +k ... -k] for its k axes, zero-padded.
-    Raises the DecompositionError of the lowest row whose coupled axis tensor vanishes.
+    Row i of ``targets`` holds t[k, +k ... -k] for k = ks[i], and row i of
+    ``angles`` the (theta, phi) of its k axes, both zero-padded. Raises the
+    DecompositionError of the lowest row whose coupled axis tensor vanishes.
     """
-    prod = _coupled(axes_rows)
+    prod = _coupled(angles, ks)
     targets = targets[:, :prod.shape[1]]
     every = np.arange(len(prod))
     imax = np.argmax(np.abs(prod), axis=1)
@@ -524,7 +531,7 @@ def _scales(targets: np.ndarray, axes_rows: list) -> list:
     vanishing = np.abs(pmax) < 1e-10
     if vanishing.any():
         row = int(np.argmax(vanishing))
-        raise DecompositionError(f"coupled axis tensor vanishes at rank {len(axes_rows[row])} "
+        raise DecompositionError(f"coupled axis tensor vanishes at rank {ks[row]} "
                                  "while the tensor components do not", stage="scale", index=row)
     r = (targets[every, imax] / pmax).real
     flipped = r < 0.0
@@ -538,7 +545,7 @@ def reconstruct_tensor(form: MultiaxialForm) -> TensorComponents:
     """Rebuild t[k,q] = r_k P[k,q] from the axes, all ranks in one coupling chain; absent ranks give zeros."""
     decs = [form.ranks.get(k) for k in range(1, form.j.twice + 1)]
     present = [dec.axes for dec in decs if dec is not None]
-    prods = iter(_coupled(present) if present else ())
+    prods = iter(_coupled(*_angle_rows(present)) if present else ())
     blocks = [np.ones(1)]
     for k, dec in enumerate(decs, start=1):
         blocks.append(np.zeros(2 * k + 1) if dec is None else dec.r * next(prods)[:2 * len(dec.axes) + 1])

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .angular import _TWO_PI, HalfInt, _cartesian, _spherical_components, clebsch_gordan, euler_rotation_cartesian
+from .angular import _TWO_PI, HalfInt, clebsch_gordan, euler_rotation_cartesian, unit_vector, unit_vector_components
 from .axes import MultiaxialForm, decompose
 from .errors import DomainError
 from .tensors import DensityMatrix, rotate_tensor, to_tensor
@@ -78,7 +78,8 @@ def enumerate_invariants(form: MultiaxialForm) -> InvariantSet:
     labeled = form.labeled_axes()
     labels = tuple(lbl for lbl, _ in labeled)
     n = len(labeled)
-    comps = np.array([_spherical_components(ax.theta, ax.phi) for _, ax in labeled]).reshape(n, 3)
+    theta, phi = np.array([(ax.theta, ax.phi) for _, ax in labeled]).reshape(n, 2).T
+    comps = unit_vector_components(theta, phi)
     coupled = np.zeros((n, n), dtype=complex)
     # couple(a, b, 0)[0] for every pair, summed in couple's order: sum_q C(1 1 0; q -q 0) a_q b_-q
     for i, weight in enumerate(_CG_SCALAR):
@@ -86,7 +87,7 @@ def enumerate_invariants(form: MultiaxialForm) -> InvariantSet:
     rows, cols = _pairs(n)
     picks = np.fromiter(labels, dtype=object, count=n)  # gathers the labels of every pair at once
     pairwise = tuple(zip(picks[rows].tolist(), picks[cols].tolist(), coupled.real[rows, cols].tolist()))
-    vecs = np.array([_cartesian(ax.theta, ax.phi) for _, ax in labeled]).reshape(n, 3)
+    vecs = unit_vector(theta, phi)
     abs_cos = np.abs(vecs @ vecs.T)
     np.fill_diagonal(abs_cos, 1.0)
     scalars = form.scalars

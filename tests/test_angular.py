@@ -41,14 +41,11 @@ class TestHalfInt:
     def test_str_and_value(self):
         assert str(HalfInt(3)) == "3/2"
         assert str(HalfInt(4)) == "2"
-        assert HalfInt(3).value == 1.5
+        assert float(HalfInt(3)) == 1.5
         assert not HalfInt(3).is_integer
         assert float(HalfInt(1)) == 0.5
 
-    def test_arithmetic_and_order(self):
-        assert HalfInt(1) + HalfInt(1) == HalfInt(2)
-        assert HalfInt(3) - 1 == HalfInt(1)
-        assert -HalfInt(3) == HalfInt(-3)
+    def test_order(self):
         assert HalfInt(1) < HalfInt(2)
 
 

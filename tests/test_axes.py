@@ -1,11 +1,13 @@
+import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import spinaxes.axes
 from spinaxes.angular import (
-    HalfInt, angle_between, clebsch_gordan, couple, euler_rotation_cartesian, unit_vector,
+    HalfInt, angle_between, clebsch_gordan, couple, euler_rotation_cartesian, unit_vector, unit_vector_components,
 )
 from spinaxes.axes import (
     DEFICIENCY_REL_TOL,
@@ -17,7 +19,7 @@ from spinaxes.axes import (
     MultiaxialForm,
     RankDecomposition,
     RankPolynomial,
-    _canonical_rep,
+    _polar,
     _root_point,
     build_polynomial,
     coupled_axes_tensor,
@@ -56,6 +58,65 @@ def match_point_sets(actual, expected, tol):
         assert dists[idx] < tol
         actual.pop(idx)
     assert not actual
+
+
+# Scalar forms of the angle maps that the library evaluates on arrays (unit_vector, unit_vector_components,
+# _canonical_rep and the inverse map behind Axis.from_cartesian); the oracles below compute with these.
+def scalar_unit_vector(theta, phi):
+    s = math.sin(theta)
+    return np.array((s * math.cos(phi), s * math.sin(phi), math.cos(theta)))
+
+
+def scalar_components(theta, phi):
+    s = math.sin(theta)
+    return np.array((-s * cmath.exp(1j * phi) / math.sqrt(2.0), complex(math.cos(theta)),
+                     s * cmath.exp(-1j * phi) / math.sqrt(2.0)))
+
+
+def scalar_canonical_rep(u):
+    for comp in (u[2], u[0], u[1]):
+        if comp > 0.0:
+            return u
+        if comp < 0.0:
+            return -u
+    return u
+
+
+def scalar_from_cartesian(vec):
+    v = np.asarray(vec, dtype=float)
+    norm = float(np.linalg.norm(v))
+    if norm < 1e-300:
+        raise DomainError("cannot build an axis from the zero vector")
+    v = v / norm
+    theta = math.acos(min(1.0, max(-1.0, v[2])))
+    if math.hypot(v[0], v[1]) < 1e-12:
+        return Axis(0.0 if v[2] > 0.0 else math.pi, 0.0)
+    return Axis(theta, math.atan2(v[1], v[0]))
+
+
+class TestAngleMaps:
+    def test_array_maps_equal_scalar_formulas(self):
+        rng = np.random.default_rng(23)
+        theta = np.concatenate([np.arccos(rng.uniform(-1, 1, 2000)), np.repeat([0.0, math.pi / 2, math.pi], 2)])
+        phi = np.concatenate([rng.uniform(0, 2 * math.pi, 2000), np.tile([0.0, math.pi], 3)])
+        for array_map, scalar_map in ((unit_vector, scalar_unit_vector), (unit_vector_components, scalar_components)):
+            expected = np.array([scalar_map(a, b) for a, b in zip(theta.tolist(), phi.tolist())])
+            got = array_map(theta, phi)
+            assert np.array_equal(got, expected)
+            assert got.tobytes() == expected.tobytes()  # the signs of zero parts too
+            assert np.array_equal(array_map(theta.reshape(2, -1), phi.reshape(2, -1)), expected.reshape(2, -1, 3))
+            assert np.array_equal(array_map(theta[5], phi[5]), expected[5])
+
+    def test_from_cartesian_is_the_row_wise_inverse_map(self):
+        rng = np.random.default_rng(24)
+        vecs = np.concatenate([rng.normal(size=(500, 3)) * rng.choice([1e-3, 1.0, 1e3], size=(500, 1)),
+                               [[0, 0, 1], [0, 0, -2], [-1e-17, 0, 1], [1e-13, 0, -1], [1, 0, 0], [-1, 0, 0],
+                                [0, -1, 0], [-1, -1e-300, 0], [1, 1, -1]]])
+        expected = [scalar_from_cartesian(v) for v in vecs]
+        assert [Axis.from_cartesian(v) for v in vecs] == expected
+        assert [Axis(theta, phi) for theta, phi in _polar(vecs)] == expected
+        with pytest.raises(DomainError, match="zero vector"):
+            Axis.from_cartesian([0.0, 0.0, 0.0])
 
 
 class TestAxis:
@@ -175,6 +236,15 @@ class TestSolveAxes:
         expected = [(theta, 0.0), (theta, math.pi), (math.pi - theta, 0.0), (math.pi - theta, math.pi)]
         match_point_sets(points_to_vectors(points), expected, 1e-9)
 
+    def test_residual_check_of_huge_roots_does_not_overflow(self):
+        # roots Z = -1e305 and -1: the bound 1e-9 * 1e300 * 3 * |Z|^2 on |p(Z)| overflows unless divided through
+        poly = RankPolynomial(k=1, coefficients=[1e300, 1e300, 1e-5], degree_deficiency=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            points = solve_axes(poly)
+        expected = np.array([[2e-305, math.pi], [math.pi / 2, math.pi]])
+        assert np.array(points) == pytest.approx(expected, rel=1e-12, abs=0)
+
     def test_root_azimuth_a_hair_below_zero_wraps_to_zero(self):
         assert _root_point(complex(1, 1e-17)) == (math.pi / 2, 0.0)
         rng = np.random.default_rng(22)
@@ -245,7 +315,7 @@ def reference_pairing(points, tol=PAIRING_TOL):
     pts = list(points)
     if len(pts) % 2:
         raise DecompositionError(f"expected an even number of root points, got {len(pts)}")
-    vecs = [unit_vector(theta, phi) for theta, phi in pts]
+    vecs = [scalar_unit_vector(theta, phi) for theta, phi in pts]
     cluster = max([1] + [sum(1 for w in vecs if angle_between(v, w) < 1e-3) for v in vecs])
     eff_tol = max(tol, 100.0 * np.finfo(float).eps ** (1.0 / cluster))
     remaining = list(range(len(vecs)))
@@ -270,7 +340,7 @@ def reference_pairing(points, tol=PAIRING_TOL):
         del remaining[b], remaining[a]
         mean = vecs[i] - vecs[j]
         mean /= np.linalg.norm(mean)
-        axes.append(Axis.from_cartesian(_canonical_rep(mean)))
+        axes.append(scalar_from_cartesian(scalar_canonical_rep(mean)))
     axes.sort(key=lambda ax: (round(ax.theta, 9), round(ax.phi, 9), ax.theta, ax.phi))
     return axes
 
@@ -501,9 +571,9 @@ class TestCoupleTable:
 
 def reference_chain(axes):
     """(...((Q1 x Q2)^2 x Q3)^3 ...)^k of one axis set, one couple call per step."""
-    prod = axes[0].components
+    prod = scalar_components(axes[0].theta, axes[0].phi)
     for rank, axis in enumerate(axes[1:], start=2):
-        prod = couple(prod, axis.components, rank)
+        prod = couple(prod, scalar_components(axis.theta, axis.phi), rank)
     return prod
 
 
@@ -533,8 +603,10 @@ class TestSharedCouplingChain:
             ks = [k for k in range(tj, 0, -1) if k != tj // 2 + 1 or tj == 1] * 2  # mixed ranks, out of order
             axes_rows = [random_axes(rng, k) for k in ks]
             targets = np.zeros((len(ks), 2 * tj + 3), dtype=complex)  # padded past the widest row
+            angles = np.zeros((len(ks), tj + 1, 2))
             for row, k in enumerate(ks):
                 targets[row, :2 * k + 1] = t.rank_array(k)
+                angles[row, :k] = [(ax.theta, ax.phi) for ax in axes_rows[row]]
             expected = []
             for k, axes in zip(ks, axes_rows):
                 prod = reference_chain(axes)
@@ -544,7 +616,7 @@ class TestSharedCouplingChain:
                 if flipped:
                     r, prod = -r, -prod
                 expected.append((r, flipped, float(np.max(np.abs(t.rank_array(k) - r * prod)))))
-            assert spinaxes.axes._scales(targets, axes_rows) == expected
+            assert spinaxes.axes._scales(targets, angles, np.array(ks)) == expected
 
     def test_one_couple_call_per_step(self, monkeypatch):
         calls = []
@@ -594,7 +666,7 @@ def reference_decompose(t, residual_tol=RESIDUAL_TOL, pairing_tol=PAIRING_TOL):
                         f"(bound {bounds[i]:.3e})"
                     )
                 pts.extend(_root_point(complex(z)) for z in roots)
-            vecs = np.array([unit_vector(theta, phi) for theta, phi in pts]).reshape(-1, 3)
+            vecs = np.array([scalar_unit_vector(theta, phi) for theta, phi in pts]).reshape(-1, 3)
             cross = np.linalg.norm(np.cross(vecs[:, None, :], vecs[None, :, :]), axis=-1)
             dots = vecs @ vecs.T
             cluster = int(np.sum(np.arctan2(cross, dots) < 1e-3, axis=1).max(initial=1))
@@ -614,11 +686,11 @@ def reference_decompose(t, residual_tol=RESIDUAL_TOL, pairing_tol=PAIRING_TOL):
                 mismatch[[i, j], :] = mismatch[:, [i, j]] = np.inf
                 mean = vecs[i] - vecs[j]
                 mean /= np.linalg.norm(mean)
-                axes.append(Axis.from_cartesian(_canonical_rep(mean)))
+                axes.append(scalar_from_cartesian(scalar_canonical_rep(mean)))
             axes.sort(key=lambda ax: (round(ax.theta, 9), round(ax.phi, 9), ax.theta, ax.phi))
-            prod = axes[0].components
+            prod = scalar_components(axes[0].theta, axes[0].phi)
             for rank, axis in enumerate(axes[1:], start=2):
-                prod = reference_couple(prod, axis.components, rank)
+                prod = reference_couple(prod, scalar_components(axis.theta, axis.phi), rank)
             imax = int(np.argmax(np.abs(prod)))
             if abs(prod[imax]) < 1e-10:
                 raise DecompositionError(
@@ -828,7 +900,7 @@ class TestDecomposeMany:
             pair_and_canonicalize([(0.3, 0.0)])
         assert (info.value.index, info.value.stage) == (0, "pairing")
         t = random_tensor_components(HalfInt(2), np.random.default_rng(46))
-        monkeypatch.setattr(spinaxes.axes, "_coupled", lambda comps: np.zeros((len(comps), 5), dtype=complex))
+        monkeypatch.setattr(spinaxes.axes, "_coupled", lambda angles, ks: np.zeros((len(ks), 5), dtype=complex))
         with pytest.raises(DecompositionError) as info:
             scalar_r(t, 2, [Axis(0.3, 1.0), Axis(2.0, 4.0)])
         assert (info.value.index, info.value.rank, info.value.stage) == (0, None, "scale")

@@ -128,6 +128,17 @@ class TestEnumerate:
         assert inv.count == 1
         assert dict(inv.scalars)[1] == pytest.approx(p, abs=1e-12)
 
+    def test_transpose_gives_the_same_invariants(self):
+        # the reason the set is not complete: rho^T, in general not a rotation of rho, is not told apart
+        rng = np.random.default_rng(19)
+        for tj in (2, 3, 4):
+            for pure in (True, False):
+                rho = random_density_matrix(tj / 2, rng, pure=pure)
+                inv, mirror = pipeline(rho), pipeline(DensityMatrix(rho.matrix.T))
+                assert [k for k, _ in mirror.scalars] == [k for k, _ in inv.scalars] == list(range(1, tj + 1))
+                assert np.allclose([r for _, r in mirror.scalars], [r for _, r in inv.scalars], rtol=0, atol=1e-12)
+                assert np.allclose(mirror.pairwise_abs_sorted(), inv.pairwise_abs_sorted(), rtol=0, atol=1e-12)
+
     def test_spin1_named_rejects_other_spins(self):
         rng = np.random.default_rng(32)
         with pytest.raises(DomainError):
