@@ -36,8 +36,8 @@ from .axes import (
     EMPTY_RANK_TOL, build_polynomial, decompose, decompose_many, pair_and_canonicalize, solve_axes,
 )
 from .errors import DecompositionError, DomainError, StateFileError, ValidationError
-from .invariants import enumerate_invariants, invariant_count, spin1_named, verify_invariance
-from .states import ChannelParams, channel_mixed, ppt_separable, pure_two_spinor, random_density_matrix
+from .invariants import _invariant_stack, enumerate_invariants, invariant_count, spin1_named, verify_invariance
+from .states import ChannelParams, _channel_stack, _ppt_stack, channel_mixed, pure_two_spinor, random_density_matrix
 from .tensors import DensityMatrix, random_tensor_components, to_tensor
 
 __all__ = ["main", "read_state_file", "write_state_file", "parse_angle", "parse_range"]
@@ -298,7 +298,8 @@ def cmd_sweep(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     cells = [(float(p), float(theta)) for p in p_values for theta in theta_values]
-    rhos = [channel_mixed(ChannelParams.equal(p, 2.0 * theta)) for p, theta in cells]
+    mats = _channel_stack([ChannelParams.equal(p, 2.0 * theta) for p, theta in cells])
+    rhos = [DensityMatrix(mat, HalfInt(2)) for mat in mats]
     try:
         forms = decompose_many([to_tensor(rho) for rho in rhos])
     except (DecompositionError, ValidationError) as exc:
@@ -307,9 +308,8 @@ def cmd_sweep(args) -> int:
               file=sys.stderr)
         return EXIT_NUMERIC
     lines = [CSV_COLUMNS]
-    for (p, theta), rho, form in zip(cells, rhos, forms):
-        named = spin1_named(enumerate_invariants(form))
-        ppt = ppt_separable(rho)
+    for (p, theta), inv, ppt in zip(cells, _invariant_stack(forms), _ppt_stack(mats)):
+        named = spin1_named(inv)
         values = [0.0 if named[key] is None else named[key] for key in ("I1", "I2", "I3", "I4", "I5")]
         lines.append(",".join(
             [_fmt(p), _fmt(theta)]

@@ -33,7 +33,8 @@ PAIRWISE_TOL = 1e-8   # ... of a sorted |pairwise| value
 AXIS_TOL = 1e-7       # ... of an axis direction, in radians
 
 # C(1 1 0; q -q 0) for q = +1, 0, -1, the weights of the rank-0 coupling of two axes
-_CG_SCALAR = tuple(clebsch_gordan(1, 1, 0, q, -q, 0) for q in (1, 0, -1))
+_CG_SCALAR = np.array([clebsch_gordan(1, 1, 0, q, -q, 0) for q in (1, 0, -1)])
+_CG_SCALAR.setflags(write=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,31 +76,44 @@ def enumerate_invariants(form: MultiaxialForm) -> InvariantSet:
     Pairs span all ranks, intra-rank included. Axes of absent ranks contribute
     nothing, so the count reflects the axes actually present.
     """
-    labeled = form.labeled_axes()
-    labels = tuple(lbl for lbl, _ in labeled)
-    n = len(labeled)
-    theta, phi = np.array([(ax.theta, ax.phi) for _, ax in labeled]).reshape(n, 2).T
-    comps = unit_vector_components(theta, phi)
-    coupled = np.zeros((n, n), dtype=complex)
+    return _group_invariants([(form, form.labeled_axes())])[0]
+
+
+def _invariant_stack(forms) -> list[InvariantSet]:
+    """:func:`enumerate_invariants` of each form, one pass per group of forms with the same axis labels."""
+    groups = {}
+    for form in forms:
+        labeled = form.labeled_axes()
+        groups.setdefault(tuple(lbl for lbl, _ in labeled), []).append((form, labeled))
+    found = {id(form): inv for group in groups.values() for (form, _), inv in zip(group, _group_invariants(group))}
+    return [found[id(form)] for form in forms]
+
+
+def _group_invariants(items) -> list[InvariantSet]:
+    """Invariants of (form, form.labeled_axes()) pairs whose axes all carry the same labels, as one stack."""
+    labels = tuple(lbl for lbl, _ in items[0][1])
+    m, n = len(items), len(labels)
+    # all angles in one flat run: each elementwise pass is one 1-d loop, as it is for a single form
+    theta, phi = np.array([(ax.theta, ax.phi) for _, labeled in items for _, ax in labeled]).reshape(m * n, 2).T
+    comps = unit_vector_components(theta, phi).reshape(m, n, 3)
+    coupled = np.zeros((m, n, n), dtype=complex)
     # couple(a, b, 0)[0] for every pair, summed in couple's order: sum_q C(1 1 0; q -q 0) a_q b_-q
-    for i, weight in enumerate(_CG_SCALAR):
-        coupled += (weight * comps[:, i])[:, None] * comps[None, :, 2 - i]
+    weighted = comps * _CG_SCALAR
+    for i in range(3):
+        coupled += weighted[..., i, None] * comps[:, None, :, 2 - i]
     rows, cols = _pairs(n)
     picks = np.fromiter(labels, dtype=object, count=n)  # gathers the labels of every pair at once
-    pairwise = tuple(zip(picks[rows].tolist(), picks[cols].tolist(), coupled.real[rows, cols].tolist()))
-    vecs = unit_vector(theta, phi)
-    abs_cos = np.abs(vecs @ vecs.T)
-    np.fill_diagonal(abs_cos, 1.0)
-    scalars = form.scalars
-    abs_cos.setflags(write=False)
-    return InvariantSet(
-        j=form.j,
-        scalars=scalars,
-        pairwise=pairwise,
-        abs_cosines=abs_cos,
-        axis_labels=labels,
-        count=len(scalars) + len(pairwise),
-    )
+    firsts, seconds = picks[rows].tolist(), picks[cols].tolist()
+    vecs = unit_vector(theta, phi).reshape(m, n, 3)
+    abs_cos = np.abs(vecs @ vecs.transpose(0, 2, 1))
+    abs_cos.reshape(m, n * n)[:, ::n + 1] = 1.0  # the diagonals
+    abs_cos.setflags(write=False)  # each set holds a read-only view of its slice
+    out = []
+    for (form, _), values, cosines in zip(items, coupled.real[:, rows, cols].tolist(), abs_cos):
+        scalars = form.scalars
+        out.append(InvariantSet(j=form.j, scalars=scalars, pairwise=tuple(zip(firsts, seconds, values)),
+                                abs_cosines=cosines, axis_labels=labels, count=len(scalars) + len(values)))
+    return out
 
 
 def spin1_named(inv: InvariantSet) -> dict:

@@ -6,6 +6,8 @@ obtained by projecting a product of polarized qubits onto the triplet
 (spin-1) subspace. Both are built in the frame whose z-axis bisects the two
 constituent directions and whose x-axis lies in their plane (azimuths 0 and
 pi), the standard choice in which the rank-1 components t[1,+-1] vanish.
+Two-beam states and PPT flags are built as stacks (``spinaxes sweep`` builds
+its whole grid so); channel_mixed and ppt_separable are the stack-of-one case.
 """
 
 import math
@@ -160,9 +162,16 @@ def _slf_polar_angles(p1: float, p2: float, two_theta: float) -> tuple[float, fl
     return (alpha, beta)
 
 
-def _polarized_qubit(p: float, polar: float, azimuth: float) -> np.ndarray:
-    nx, ny, nz = p * unit_vector(polar, azimuth)
-    return 0.5 * np.array([[1.0 + nz, nx - 1j * ny], [nx + 1j * ny, 1.0 - nz]])
+def _channel_stack(params) -> np.ndarray:
+    """(N, 3, 3) stack of the :func:`channel_mixed` matrices of a list of ChannelParams, in one pass."""
+    p = np.array([(c.p1, c.p2) for c in params]).reshape(-1, 2)
+    polar = np.array([_slf_polar_angles(c.p1, c.p2, c.two_theta) for c in params]).reshape(-1, 2)
+    # Bloch vector components of both beams (azimuths 0 and pi) of every item, each of shape (N, 2)
+    nx, ny, nz = np.moveaxis(p[..., None] * unit_vector(polar, np.array([0.0, math.pi])), -1, 0)
+    q1, q2 = (0.5 * np.array([[1.0 + nz, nx - 1j * ny], [nx + 1j * ny, 1.0 - nz]])).transpose(3, 2, 0, 1)
+    combined = (q1[:, :, None, :, None] * q2[:, None, :, None, :]).reshape(-1, 4, 4)  # kron, item by item
+    projected = TRIPLET_ISOMETRY @ combined @ TRIPLET_ISOMETRY.conj().T
+    return projected / np.trace(projected, axis1=1, axis2=2).real[:, None, None]
 
 
 def channel_mixed(params: ChannelParams) -> DensityMatrix:
@@ -173,18 +182,20 @@ def channel_mixed(params: ChannelParams) -> DensityMatrix:
     product state is then projected onto the spin-1 subspace. At p1 = p2 = 1
     this reduces exactly to :func:`pure_two_spinor`.
     """
-    alpha, beta = _slf_polar_angles(params.p1, params.p2, params.two_theta)
-    rho1 = _polarized_qubit(params.p1, alpha, 0.0)
-    rho2 = _polarized_qubit(params.p2, beta, math.pi)
-    combined = np.kron(rho1, rho2)
-    projected = TRIPLET_ISOMETRY @ combined @ TRIPLET_ISOMETRY.conj().T
-    trace = float(projected.trace().real)
-    return DensityMatrix(projected / trace, HalfInt(2))
+    return DensityMatrix(_channel_stack([params])[0], HalfInt(2))
 
 
 class PptResult(NamedTuple):
     separable: bool
     min_eigenvalue: float
+
+
+def _ppt_stack(mats: np.ndarray, tol: float = 1e-10) -> list[PptResult]:
+    """:func:`ppt_separable` of each matrix of an (N, 3, 3) stack, in one batched eigensolve."""
+    four = TRIPLET_ISOMETRY.conj().T @ mats @ TRIPLET_ISOMETRY
+    pt = four.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(-1, 4, 4)
+    return [PptResult(separable=lowest >= -tol, min_eigenvalue=lowest)
+            for lowest in np.linalg.eigvalsh(pt)[:, 0].tolist()]
 
 
 def ppt_separable(rho: DensityMatrix, tol: float = 1e-10) -> PptResult:
@@ -197,11 +208,7 @@ def ppt_separable(rho: DensityMatrix, tol: float = 1e-10) -> PptResult:
     """
     if rho.dim != 3:
         raise DomainError("PPT flag is implemented for spin-1 (3x3) states")
-    four = TRIPLET_ISOMETRY.conj().T @ rho.matrix @ TRIPLET_ISOMETRY
-    pt = four.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
-    eigenvalues = np.linalg.eigvalsh(pt)
-    lowest = float(eigenvalues[0])
-    return PptResult(separable=bool(lowest >= -tol), min_eigenvalue=lowest)
+    return _ppt_stack(rho.matrix[None], tol)[0]
 
 
 def random_density_matrix(j, rng: np.random.Generator, *, pure: bool = False) -> DensityMatrix:

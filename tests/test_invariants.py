@@ -7,6 +7,7 @@ from spinaxes.angular import couple
 from spinaxes.axes import decompose
 from spinaxes.errors import DomainError
 from spinaxes.invariants import (
+    _invariant_stack,
     enumerate_invariants,
     invariant_count,
     spin1_named,
@@ -143,6 +144,25 @@ class TestEnumerate:
         rng = np.random.default_rng(32)
         with pytest.raises(DomainError):
             spin1_named(pipeline(random_density_matrix(1.5, rng)))
+
+
+class TestInvariantStack:
+    def test_matches_enumerate_invariants_per_form(self):
+        rng = np.random.default_rng(34)
+        forms = [decompose(to_tensor(random_density_matrix(tj / 2, rng))) for tj in (1, 2, 2, 3, 2, 8, 1, 16)]
+        forms += [decompose(to_tensor(channel_mixed(ChannelParams.equal(p, 2 * t))))
+                  for p in (0.0, 0.5, 1.0) for t in (0.0, math.pi / 2, 1.0)]
+        assert {len(f.present_ranks) for f in forms} >= {0, 1, 2}  # groups of no, some and all ranks
+        stacked = _invariant_stack(forms)
+        assert len(stacked) == len(forms)
+        for inv, form in zip(stacked, forms):
+            single = enumerate_invariants(form)
+            assert inv.j == single.j and inv.axis_labels == single.axis_labels and inv.count == single.count
+            assert repr(inv.scalars) == repr(single.scalars) and repr(inv.pairwise) == repr(single.pairwise)
+            assert inv.abs_cosines.shape == single.abs_cosines.shape
+            assert inv.abs_cosines.tobytes() == single.abs_cosines.tobytes()
+            assert not inv.abs_cosines.flags.writeable
+        assert _invariant_stack([]) == []
 
 
 class TestVerifyInvariance:

@@ -8,6 +8,8 @@ from spinaxes.errors import DomainError
 from spinaxes.states import (
     ChannelParams,
     Spinor,
+    _channel_stack,
+    _ppt_stack,
     channel_mixed,
     ppt_separable,
     pure_two_spinor,
@@ -178,6 +180,33 @@ class TestPptSeparable:
         rng = np.random.default_rng(43)
         with pytest.raises(DomainError):
             ppt_separable(random_density_matrix(1.5, rng))
+
+
+class TestStacks:
+    """The stacked builder and PPT give, item for item, the bits of their single-state calls."""
+
+    @staticmethod
+    def params():
+        rng = np.random.default_rng(46)
+        grid = [ChannelParams(p1, p2, t) for p1 in (0.0, 0.4, 1.0) for p2 in (0.0, 0.7, 1.0)
+                for t in (0.0, 1.0, math.pi, 2 * math.pi)]
+        return grid + [ChannelParams(*rng.uniform(0, 1, 2), rng.uniform(0, 2 * math.pi)) for _ in range(40)]
+
+    def test_channel_stack_matches_channel_mixed(self):
+        params = self.params()
+        stack = _channel_stack(params)
+        assert stack.shape == (len(params), 3, 3)
+        for mat, item in zip(stack, params):
+            assert np.ascontiguousarray(mat).tobytes() == channel_mixed(item).matrix.tobytes()
+
+    def test_ppt_stack_matches_ppt_separable(self):
+        rhos = [channel_mixed(item) for item in self.params()] + [pure_two_spinor(t) for t in (0.0, 1.0, math.pi)]
+        results = _ppt_stack(np.array([rho.matrix for rho in rhos]))
+        assert any(not r.separable for r in results) and any(r.separable for r in results)
+        for result, rho in zip(results, rhos):
+            single = ppt_separable(rho)
+            assert type(result.separable) is bool and type(result.min_eigenvalue) is float
+            assert result == single and repr(result.min_eigenvalue) == repr(single.min_eigenvalue)
 
 
 class TestSpinor:

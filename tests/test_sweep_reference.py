@@ -1,0 +1,129 @@
+"""`spinaxes sweep` against a per-cell reference, byte for byte.
+
+The reference below is the per-cell code the sweep ran before it built its
+grid as stacks: a kron-based two-beam state, one PPT eigensolve per cell and
+one invariant pass per decomposition. It calls none of the stacked helpers
+(nor channel_mixed, ppt_separable or enumerate_invariants, which now run
+them on a stack of one), so any bit the stacked sweep changes shows up here.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from spinaxes import cli
+from spinaxes.angular import HalfInt, clebsch_gordan, unit_vector, unit_vector_components
+from spinaxes.axes import decompose
+from spinaxes.invariants import enumerate_invariants
+from spinaxes.states import (
+    TRIPLET_ISOMETRY, ChannelParams, _slf_polar_angles, channel_mixed, ppt_separable, random_density_matrix,
+)
+from spinaxes.tensors import DensityMatrix, to_tensor
+
+CG_SCALAR = tuple(clebsch_gordan(1, 1, 0, q, -q, 0) for q in (1, 0, -1))
+
+
+def polarized_qubit(p, polar, azimuth):
+    nx, ny, nz = p * unit_vector(polar, azimuth)
+    return 0.5 * np.array([[1.0 + nz, nx - 1j * ny], [nx + 1j * ny, 1.0 - nz]])
+
+
+def reference_channel_mixed(params):
+    alpha, beta = _slf_polar_angles(params.p1, params.p2, params.two_theta)
+    combined = np.kron(polarized_qubit(params.p1, alpha, 0.0), polarized_qubit(params.p2, beta, math.pi))
+    projected = TRIPLET_ISOMETRY @ combined @ TRIPLET_ISOMETRY.conj().T
+    return DensityMatrix(projected / float(projected.trace().real), HalfInt(2))
+
+
+def reference_ppt(rho, tol=1e-10):
+    four = TRIPLET_ISOMETRY.conj().T @ rho.matrix @ TRIPLET_ISOMETRY
+    pt = four.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+    lowest = float(np.linalg.eigvalsh(pt)[0])
+    return lowest, bool(lowest >= -tol)
+
+
+def reference_invariants(form):
+    """(scalars, pairwise, abs_cosines, axis_labels, count) of one form."""
+    labeled = form.labeled_axes()
+    labels = tuple(lbl for lbl, _ in labeled)
+    n = len(labeled)
+    theta, phi = np.array([(ax.theta, ax.phi) for _, ax in labeled]).reshape(n, 2).T
+    comps = unit_vector_components(theta, phi)
+    coupled = np.zeros((n, n), dtype=complex)
+    for i, weight in enumerate(CG_SCALAR):
+        coupled += (weight * comps[:, i])[:, None] * comps[None, :, 2 - i]
+    rows, cols = np.triu_indices(n, 1)
+    pairwise = tuple((labels[a], labels[b], coupled.real[a, b].item()) for a, b in zip(rows, cols))
+    vecs = unit_vector(theta, phi)
+    abs_cos = np.abs(vecs @ vecs.T)
+    np.fill_diagonal(abs_cos, 1.0)
+    return form.scalars, pairwise, abs_cos, labels, len(form.scalars) + len(pairwise)
+
+
+def reference_named(scalars, pairwise):
+    scal = dict(scalars)
+    pw = {(la, lb): v for la, lb, v in pairwise}
+    return [scal.get(1), scal.get(2), pw.get(((1, 0), (2, 0))), pw.get(((1, 0), (2, 1))), pw.get(((2, 0), (2, 1)))]
+
+
+def reference_csv(p_range, theta_range):
+    fmt = "{:.12g}".format
+    lines = ["p,theta,I1,I2,I3,I4,I5,abs_I3,abs_I4,abs_I5,ppt_min_eig,separable"]
+    for p in cli.parse_range(p_range):
+        for theta in cli.parse_range(theta_range):
+            p, theta = float(p), float(theta)
+            rho = reference_channel_mixed(ChannelParams(p, p, 2.0 * theta))
+            scalars, pairwise, _, _, _ = reference_invariants(decompose(to_tensor(rho)))
+            values = [0.0 if v is None else v for v in reference_named(scalars, pairwise)]
+            lowest, separable = reference_ppt(rho)
+            lines.append(",".join([fmt(p), fmt(theta)] + [fmt(v) for v in values]
+                                  + [fmt(abs(v)) for v in values[2:]] + [fmt(lowest), str(separable).lower()]))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("p_range, theta_range", [
+    ("0:1:21", "0deg:180deg:37"),  # the README grid
+    ("0:0:1", "0:3:4"),  # p = 0: every rank absent, no axes at all
+    ("0.6:0.6:1", "40deg:40deg:1"),  # a single cell
+    ("0.5:1:3", "0:180deg:5"),  # through theta = pi/2 and p = 1: forms of different present ranks
+])
+def test_sweep_csv_equals_per_cell_reference(tmp_path, capsys, p_range, theta_range):
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", "--p", p_range, "--theta", theta_range, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert out.read_text(encoding="utf-8") == reference_csv(p_range, theta_range)
+
+
+def test_states_and_ppt_equal_per_cell_reference():
+    """Matrix and eigenvalue bits, finer than the 12 digits the CSV shows."""
+    rng = np.random.default_rng(13)
+    params = [ChannelParams.equal(float(p), 2.0 * float(t))
+              for p in cli.parse_range("0:1:21") for t in cli.parse_range("0deg:180deg:37")]
+    params += [ChannelParams(*rng.uniform(0, 1, 2), rng.uniform(0, 2 * math.pi)) for _ in range(200)]
+    for item in params:
+        rho, reference = channel_mixed(item), reference_channel_mixed(item)
+        assert rho.matrix.tobytes() == reference.matrix.tobytes()
+        result, (lowest, separable) = ppt_separable(rho), reference_ppt(rho)
+        assert repr(result.min_eigenvalue) == repr(lowest) and result.separable is separable
+
+
+def test_mixed_rank_grid_mixes_rank_structures():
+    ranks = {decompose(to_tensor(reference_channel_mixed(ChannelParams.equal(float(p), 2.0 * float(t))))).present_ranks
+             for p in cli.parse_range("0.5:1:3") for t in cli.parse_range("0:180deg:5")}
+    assert {(1, 2), (2,)} <= ranks
+
+
+def test_enumerate_invariants_equals_per_form_reference():
+    rng = np.random.default_rng(12)
+    forms = [decompose(to_tensor(random_density_matrix(HalfInt(tj), rng, pure=tj % 3 == 0))) for tj in range(1, 17)]
+    forms += [decompose(to_tensor(reference_channel_mixed(ChannelParams.equal(1.0, math.pi)))),  # rank 1 absent
+              decompose(to_tensor(DensityMatrix.maximally_mixed(2)))]  # no axes
+    assert forms[-2].present_ranks == (2,) and forms[-1].present_ranks == ()
+    for form in forms:
+        inv = enumerate_invariants(form)
+        scalars, pairwise, abs_cos, labels, count = reference_invariants(form)
+        assert repr(inv.scalars) == repr(scalars)
+        assert repr(inv.pairwise) == repr(pairwise)
+        assert inv.abs_cosines.shape == abs_cos.shape and inv.abs_cosines.tobytes() == abs_cos.tobytes()
+        assert inv.axis_labels == labels and inv.count == count
