@@ -81,9 +81,11 @@ def parse_range(text: str) -> np.ndarray:
 
 def read_state_file(path: str):
     """Parse a state file; returns (DensityMatrix, metadata dict)."""
-    if path.endswith(".json"):
-        return _read_state_json(path)
-    return _read_state_text(path)
+    read = _read_state_json if path.endswith(".json") else _read_state_text
+    try:
+        return read(path)
+    except (DomainError, ValidationError) as exc:
+        raise StateFileError(str(exc)) from exc
 
 
 def _read_state_json(path: str):
@@ -100,10 +102,7 @@ def _read_state_json(path: str):
             raise StateFileError(f"twice_j must be an integer, got {twice_j!r}")
         jj = HalfInt(twice_j)
     elif "j" in payload:
-        try:
-            jj = HalfInt.coerce(payload["j"])
-        except DomainError as exc:
-            raise StateFileError(str(exc)) from exc
+        jj = HalfInt.coerce(payload["j"])
     else:
         raise StateFileError("missing 'twice_j' (or 'j') field")
     if jj.twice < 0:
@@ -123,10 +122,7 @@ def _read_state_json(path: str):
             except (TypeError, ValueError) as exc:
                 raise StateFileError(f"matrix row {r + 1}, column {c + 1}: expected [re, im]") from exc
     metadata = {k: payload[k] for k in ("label", "source") if k in payload}
-    try:
-        return DensityMatrix(mat, jj), metadata
-    except ValidationError as exc:
-        raise StateFileError(str(exc)) from exc
+    return DensityMatrix(mat, jj), metadata
 
 
 def _read_state_text(path: str):
@@ -176,10 +172,7 @@ def _read_state_text(path: str):
     for r, (lineno, numbers) in enumerate(rows):
         for c in range(dim):
             mat[r, c] = complex(numbers[2 * c], numbers[2 * c + 1])
-    try:
-        return DensityMatrix(mat, HalfInt(header)), metadata
-    except ValidationError as exc:
-        raise StateFileError(str(exc)) from exc
+    return DensityMatrix(mat, HalfInt(header)), metadata
 
 
 def write_state_file(handle, rho: DensityMatrix, metadata=None) -> None:

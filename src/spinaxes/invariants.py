@@ -11,6 +11,7 @@ the convention-free absolute cosines are carried alongside.
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
@@ -39,17 +40,22 @@ _CG_SCALAR.setflags(write=False)
 
 @dataclass(frozen=True, eq=False)
 class InvariantSet:
-    """Scalars r_k plus every pairwise axis invariant, with labels (rank, index)."""
+    """Scalars r_k plus every pairwise axis invariant, with labels (rank, index); arrays are read-only."""
 
     j: HalfInt
     scalars: tuple            # ((k, r_k), ...)
-    pairwise: tuple           # ((label_i, label_j, signed value), ...)
+    values: np.ndarray        # signed (Qa x Qb)^0_0 for (a, b) in combinations(axis_labels, 2)
     abs_cosines: np.ndarray   # |Qi . Qj| over all axes, diagonal 1
     axis_labels: tuple
     count: int
 
+    @property
+    def pairwise(self) -> tuple:
+        """((label_a, label_b, signed value), ...) in the order of ``values``."""
+        return tuple((la, lb, v) for (la, lb), v in zip(combinations(self.axis_labels, 2), self.values.tolist()))
+
     def pairwise_abs_sorted(self) -> np.ndarray:
-        return np.sort(np.array([abs(v) for _, _, v in self.pairwise]))
+        return np.sort(np.abs(self.values))
 
 
 def invariant_count(j) -> int:
@@ -76,43 +82,38 @@ def enumerate_invariants(form: MultiaxialForm) -> InvariantSet:
     Pairs span all ranks, intra-rank included. Axes of absent ranks contribute
     nothing, so the count reflects the axes actually present.
     """
-    return _group_invariants([(form, form.labeled_axes())])[0]
+    return _invariant_stack([form])[0]
 
 
 def _invariant_stack(forms) -> list[InvariantSet]:
-    """:func:`enumerate_invariants` of each form, one pass per group of forms with the same axis labels."""
+    """:func:`enumerate_invariants` of each form, one pass per group of forms with the same present ranks."""
     groups = {}
-    for form in forms:
-        labeled = form.labeled_axes()
-        groups.setdefault(tuple(lbl for lbl, _ in labeled), []).append((form, labeled))
-    found = {id(form): inv for group in groups.values() for (form, _), inv in zip(group, _group_invariants(group))}
-    return [found[id(form)] for form in forms]
-
-
-def _group_invariants(items) -> list[InvariantSet]:
-    """Invariants of (form, form.labeled_axes()) pairs whose axes all carry the same labels, as one stack."""
-    labels = tuple(lbl for lbl, _ in items[0][1])
-    m, n = len(items), len(labels)
-    # all angles in one flat run: each elementwise pass is one 1-d loop, as it is for a single form
-    theta, phi = np.array([(ax.theta, ax.phi) for _, labeled in items for _, ax in labeled]).reshape(m * n, 2).T
-    comps = unit_vector_components(theta, phi).reshape(m, n, 3)
-    coupled = np.zeros((m, n, n), dtype=complex)
-    # couple(a, b, 0)[0] for every pair, summed in couple's order: sum_q C(1 1 0; q -q 0) a_q b_-q
-    weighted = comps * _CG_SCALAR
-    for i in range(3):
-        coupled += weighted[..., i, None] * comps[:, None, :, 2 - i]
-    rows, cols = _pairs(n)
-    picks = np.fromiter(labels, dtype=object, count=n)  # gathers the labels of every pair at once
-    firsts, seconds = picks[rows].tolist(), picks[cols].tolist()
-    vecs = unit_vector(theta, phi).reshape(m, n, 3)
-    abs_cos = np.abs(vecs @ vecs.transpose(0, 2, 1))
-    abs_cos.reshape(m, n * n)[:, ::n + 1] = 1.0  # the diagonals
-    abs_cos.setflags(write=False)  # each set holds a read-only view of its slice
-    out = []
-    for (form, _), values, cosines in zip(items, coupled.real[:, rows, cols].tolist(), abs_cos):
-        scalars = form.scalars
-        out.append(InvariantSet(j=form.j, scalars=scalars, pairwise=tuple(zip(firsts, seconds, values)),
-                                abs_cosines=cosines, axis_labels=labels, count=len(scalars) + len(values)))
+    for at, form in enumerate(forms):
+        groups.setdefault(form.present_ranks, []).append(at)
+    out = [None] * len(forms)
+    for ranks, members in groups.items():
+        labels = tuple((k, i) for k in ranks for i in range(k))  # rank k has k axes
+        m, n = len(members), len(labels)
+        # all angles in one flat run: each elementwise pass is one 1-d loop, as it is for a single form
+        axes = [ax for at in members for k in ranks for ax in forms[at].ranks[k].axes]
+        theta, phi = np.array([(ax.theta, ax.phi) for ax in axes]).reshape(m * n, 2).T
+        comps = unit_vector_components(theta, phi).reshape(m, n, 3)
+        coupled = np.zeros((m, n, n), dtype=complex)
+        # couple(a, b, 0)[0] for every pair, summed in couple's order: sum_q C(1 1 0; q -q 0) a_q b_-q
+        weighted = comps * _CG_SCALAR
+        for i in range(3):
+            coupled += weighted[..., i, None] * comps[:, None, :, 2 - i]
+        rows, cols = _pairs(n)
+        values = coupled.real[:, rows, cols]
+        vecs = unit_vector(theta, phi).reshape(m, n, 3)
+        abs_cos = np.abs(vecs @ vecs.transpose(0, 2, 1))
+        abs_cos.reshape(m, n * n)[:, ::n + 1] = 1.0  # the diagonals
+        values.setflags(write=False)  # each set holds read-only views of its rows
+        abs_cos.setflags(write=False)
+        for at, row, cosines in zip(members, values, abs_cos):
+            scalars = forms[at].scalars
+            out[at] = InvariantSet(j=forms[at].j, scalars=scalars, values=row, abs_cosines=cosines,
+                                   axis_labels=labels, count=len(scalars) + len(rows))
     return out
 
 
@@ -125,7 +126,7 @@ def spin1_named(inv: InvariantSet) -> dict:
     if inv.j != HalfInt(2):
         raise DomainError("named invariants I1..I5 are defined for spin-1 only")
     scal = dict(inv.scalars)
-    pw = {(la, lb): v for la, lb, v in inv.pairwise}
+    pw = dict(zip(combinations(inv.axis_labels, 2), inv.values.tolist()))
     return {
         "I1": scal.get(1),
         "I2": scal.get(2),

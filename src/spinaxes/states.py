@@ -41,6 +41,7 @@ TRIPLET_ISOMETRY = np.array(
     ]
 )
 TRIPLET_ISOMETRY.setflags(write=False)
+PPT_TOL = 1e-10  # ppt_separable: most negative partial-transpose eigenvalue still separable
 
 
 @dataclass(frozen=True)
@@ -190,25 +191,25 @@ class PptResult(NamedTuple):
     min_eigenvalue: float
 
 
-def _ppt_stack(mats: np.ndarray, tol: float = 1e-10) -> list[PptResult]:
+def _ppt_stack(mats: np.ndarray) -> list[PptResult]:
     """:func:`ppt_separable` of each matrix of an (N, 3, 3) stack, in one batched eigensolve."""
     four = TRIPLET_ISOMETRY.conj().T @ mats @ TRIPLET_ISOMETRY
     pt = four.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(-1, 4, 4)
-    return [PptResult(separable=lowest >= -tol, min_eigenvalue=lowest)
+    return [PptResult(separable=lowest >= -PPT_TOL, min_eigenvalue=lowest)
             for lowest in np.linalg.eigvalsh(pt)[:, 0].tolist()]
 
 
-def ppt_separable(rho: DensityMatrix, tol: float = 1e-10) -> PptResult:
+def ppt_separable(rho: DensityMatrix) -> PptResult:
     """Peres-Horodecki test for a spin-1 (triplet-embedded) state.
 
     Embeds the 3x3 matrix into the two-qubit space with zero singlet
     component, partial-transposes the second qubit, and reports the minimum
-    eigenvalue; for 2x2 systems positivity of the partial transpose is exact
-    for separability.
+    eigenvalue, separable when it is at least -PPT_TOL; for 2x2 systems
+    positivity of the partial transpose is exact for separability.
     """
     if rho.dim != 3:
         raise DomainError("PPT flag is implemented for spin-1 (3x3) states")
-    return _ppt_stack(rho.matrix[None], tol)[0]
+    return _ppt_stack(rho.matrix[None])[0]
 
 
 def random_density_matrix(j, rng: np.random.Generator, *, pure: bool = False) -> DensityMatrix:

@@ -35,6 +35,8 @@ __all__ = [
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 CONJUGATION_TOL = 1e-10
+RESUM_TOL = 1e-8        # from_tensor: conjugation defect of t, and hermiticity defect of the rebuilt matrix
+POSITIVITY_TOL = 1e-10  # is_physical: most negative eigenvalue accepted
 
 
 @lru_cache(maxsize=None)
@@ -86,8 +88,8 @@ class DensityMatrix:
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(self.matrix)[0])
 
-    def is_physical(self, tol: float = 1e-10) -> bool:
-        return self.min_eigenvalue() >= -tol
+    def is_physical(self) -> bool:
+        return self.min_eigenvalue() >= -POSITIVITY_TOL
 
     def purity(self) -> float:
         return float(np.einsum("ij,ji->", self.matrix, self.matrix).real)
@@ -188,17 +190,16 @@ def to_tensor(rho) -> TensorComponents:
     return TensorComponents(rho.j, np.einsum("ij,nji->n", rho.matrix, basis))
 
 
-def from_tensor(t: TensorComponents, *, conj_tol: float = 1e-8) -> DensityMatrix:
+def from_tensor(t: TensorComponents) -> DensityMatrix:
     """Rebuild the density matrix (1/(2j+1)) sum t[k,q] tau[k,q]^dag.
 
-    Conjugation-symmetry violations beyond conj_tol raise ValidationError.
+    Conjugation-symmetry violations beyond RESUM_TOL raise ValidationError.
     Positivity is not checked; inspect DensityMatrix.min_eigenvalue() for that.
     """
-    t.validate(conj_tol)
-    dim = t.j.twice + 1
+    t.validate(RESUM_TOL)
     # sum t tau^dag = (sum conj(t) tau)^dag, which needs no conjugated copy of the basis
     acc = np.tensordot(t.array.conj(), _tensor_operator_cached(t.j.twice), axes=1).conj().T
-    return DensityMatrix(acc / dim, t.j, tol=max(conj_tol, HERMITICITY_TOL))
+    return DensityMatrix(acc / (t.j.twice + 1), t.j, tol=RESUM_TOL)
 
 
 def rotate_tensor(t: TensorComponents, phi: float, theta: float, psi: float) -> TensorComponents:

@@ -77,6 +77,12 @@ class TestStateFiles:
         with pytest.raises(StateFileError):  # trace is 3, not 1
             cli.read_state_file(str(path))
 
+    def test_invalid_json_matrix_rejected(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"twice_j": 2, "matrix": [[[float(r == c), 0.0] for c in range(3)] for r in range(3)]}))
+        with pytest.raises(StateFileError, match="trace must be 1"):  # trace is 3, not 1
+            cli.read_state_file(str(path))
+
 
 class TestAnalyze:
     def test_pure_state_report(self, tmp_path, capsys):

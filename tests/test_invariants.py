@@ -162,6 +162,8 @@ class TestInvariantStack:
             assert inv.abs_cosines.shape == single.abs_cosines.shape
             assert inv.abs_cosines.tobytes() == single.abs_cosines.tobytes()
             assert not inv.abs_cosines.flags.writeable
+            assert inv.values.shape == single.values.shape and inv.values.tobytes() == single.values.tobytes()
+            assert not inv.values.flags.writeable
         assert _invariant_stack([]) == []
 
 

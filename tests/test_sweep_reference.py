@@ -15,11 +15,11 @@ import pytest
 from spinaxes import cli
 from spinaxes.angular import HalfInt, clebsch_gordan, unit_vector, unit_vector_components
 from spinaxes.axes import decompose
-from spinaxes.invariants import enumerate_invariants
+from spinaxes.invariants import enumerate_invariants, spin1_named
 from spinaxes.states import (
     TRIPLET_ISOMETRY, ChannelParams, _slf_polar_angles, channel_mixed, ppt_separable, random_density_matrix,
 )
-from spinaxes.tensors import DensityMatrix, to_tensor
+from spinaxes.tensors import DensityMatrix, TensorComponents, to_tensor
 
 CG_SCALAR = tuple(clebsch_gordan(1, 1, 0, q, -q, 0) for q in (1, 0, -1))
 
@@ -125,5 +125,21 @@ def test_enumerate_invariants_equals_per_form_reference():
         scalars, pairwise, abs_cos, labels, count = reference_invariants(form)
         assert repr(inv.scalars) == repr(scalars)
         assert repr(inv.pairwise) == repr(pairwise)
+        abs_sorted = np.sort(np.array([abs(v) for *_, v in pairwise]))
+        assert inv.pairwise_abs_sorted().shape == abs_sorted.shape
+        assert inv.pairwise_abs_sorted().tobytes() == abs_sorted.tobytes()
         assert inv.abs_cosines.shape == abs_cos.shape and inv.abs_cosines.tobytes() == abs_cos.tobytes()
         assert inv.axis_labels == labels and inv.count == count
+
+
+def test_spin1_named_equals_triple_lookup_reference():
+    t_rank1_only = TensorComponents(HalfInt(2), {(1, 1): 0.1 - 0.2j, (1, 0): 0.3, (1, -1): -0.1 - 0.2j})
+    forms = [decompose(to_tensor(reference_channel_mixed(ChannelParams.equal(p, t))))
+             for p in (0.3, 0.8, 1.0) for t in (0.5, 2.0, 3.0)]
+    forms += [decompose(to_tensor(reference_channel_mixed(ChannelParams.equal(1.0, math.pi)))),  # rank 1 absent
+              decompose(t_rank1_only),  # rank 2 absent
+              decompose(to_tensor(DensityMatrix.maximally_mixed(1)))]  # no axes
+    assert {form.present_ranks for form in forms} == {(1, 2), (2,), (1,), ()}
+    for form in forms:
+        scalars, pairwise, *_ = reference_invariants(form)
+        assert repr(list(spin1_named(enumerate_invariants(form)).values())) == repr(reference_named(scalars, pairwise))
