@@ -32,7 +32,7 @@ import numpy as np
 
 from .angular import HalfInt, _wrap_azimuth, angle_between, couple, unit_vector, unit_vector_components
 from .errors import DecompositionError, DomainError, ValidationError
-from .tensors import TensorComponents
+from .tensors import TensorComponents, _check_tensor_stack
 
 __all__ = [
     "Axis",
@@ -55,6 +55,7 @@ DEFICIENCY_REL_TOL = 1e-12   # leading coefficients below tol*max count as roots
 ROOT_RESIDUAL_TOL = 1e-9     # |p(Z)| relative to the coefficient scale
 PAIRING_TOL = 1e-7           # base angular tolerance for antipodal matching
 RESIDUAL_TOL = 1e-8          # reconstruction residual accepted by decompose
+INPUT_TOL = 1e-8             # |t[0,0] - 1| and conjugation defect of the tensors decompose accepts
 
 _EPS = float(np.finfo(float).eps)
 
@@ -141,14 +142,6 @@ class MultiaxialForm:
     @property
     def scalars(self) -> tuple[tuple[int, float], ...]:
         return tuple((k, self.ranks[k].r) for k in self.present_ranks)
-
-    def labeled_axes(self) -> list[tuple[tuple[int, int], Axis]]:
-        """All axes across ranks, labeled (rank, index-within-rank)."""
-        out = []
-        for k in self.present_ranks:
-            for i, axis in enumerate(self.ranks[k].axes):
-                out.append(((k, i), axis))
-        return out
 
     @property
     def n_axes(self) -> int:
@@ -256,18 +249,15 @@ def decompose_many(ts) -> list[MultiaxialForm]:
     for t in ts:
         if t.j != j:
             raise DomainError(f"decompose_many needs tensors of one j, got j={j} and j={t.j}")
-    error, count = None, len(ts)
-    for index, t in enumerate(ts):
-        try:
-            t.validate(1e-8)
-        except ValidationError as exc:
-            exc.index = count = index
-            error = exc
-            break
-    # one zero-padded row t[k, +k ... -k] per (item, rank), in the order a loop of decompose meets them
     tj, ks, cols = j.twice, np.arange(1, j.twice + 1), np.arange(2 * j.twice + 1)
-    stack = np.array([t.array for t in ts[:count]]).reshape(count, (tj + 1) ** 2)
-    rows = np.where(cols <= 2 * ks[:, None], stack[:, ks[:, None] ** 2 + cols], 0).reshape(-1, 2 * tj + 1)
+    stack = np.array([t.array for t in ts])
+    error, count = None, len(ts)
+    try:
+        _check_tensor_stack(stack, tj, INPUT_TOL)
+    except ValidationError as exc:
+        error, count = exc, exc.index
+    # one zero-padded row t[k, +k ... -k] per (item, rank), in the order a loop of decompose meets them
+    rows = np.where(cols <= 2 * ks[:, None], stack[:count, ks[:, None] ** 2 + cols], 0).reshape(-1, 2 * tj + 1)
     ks = np.arange(count * tj) % tj + 1
     live = len(rows)  # only the rows before the lowest failing row so far stay in play
     while True:  # rows are independent: without the failed suffix, the rest solve as they would alone
@@ -437,9 +427,9 @@ def _pairings(points: np.ndarray, ks: np.ndarray) -> np.ndarray:
     """
     count, n = points.shape[:2]
     real = np.arange(n) < 2 * ks[:, None]
-    bad = np.argwhere(real & ~np.isfinite(points).all(axis=2))
-    if bad.size:
-        row, i = bad[0]
+    bad = real & ~np.isfinite(points).all(axis=2)
+    if bad.any():
+        row, i = np.argwhere(bad)[0]
         raise DecompositionError(f"root point {tuple(points[row, i].tolist())} is not finite", stage="pairing",
                                  index=int(row))
     vecs = unit_vector(points[..., 0], points[..., 1])
@@ -478,12 +468,12 @@ def _pairings(points: np.ndarray, ks: np.ndarray) -> np.ndarray:
     # the pair difference averages out opposite-signed root noise
     mean = (vecs[every[:, None], first] - vecs[every[:, None], second])[paired]
     mean /= np.sqrt(mean[:, None, :] @ mean[:, :, None])[:, 0]  # np.linalg.norm's dot product
-    polar = iter(_polar(_canonical_rep(mean)))
-    out = np.zeros((count, n // 2, 2))
-    for row, k in enumerate(ks.tolist()):
-        # coarse-then-fine key so fp-level theta ties still order by phi
-        out[row, :k] = sorted((next(polar) for _ in range(k)), key=lambda a: (round(a[0], 9), round(a[1], 9), *a))
-    return out
+    # each row's axes sorted by (theta, phi) to 9 decimals, so fp-level theta ties still order by phi, then
+    # exactly, padding last; Python's round, as np.round is not correctly rounded and could reorder near-ties
+    keyed = np.zeros((count, n // 2, 4))
+    keyed[paired] = [(round(theta, 9), round(phi, 9), theta, phi) for theta, phi in _polar(_canonical_rep(mean))]
+    order = np.lexsort((*keyed[..., ::-1].transpose(2, 0, 1), ~paired), axis=-1)
+    return keyed[every[:, None], order, 2:]
 
 
 def _angle_rows(axes_rows: list) -> tuple[np.ndarray, np.ndarray]:

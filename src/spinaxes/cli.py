@@ -38,7 +38,7 @@ from .axes import (
 from .errors import DecompositionError, DomainError, StateFileError, ValidationError
 from .invariants import _invariant_stack, enumerate_invariants, invariant_count, spin1_named, verify_invariance
 from .states import ChannelParams, _channel_stack, _ppt_stack, channel_mixed, pure_two_spinor, random_density_matrix
-from .tensors import DensityMatrix, random_tensor_components, to_tensor
+from .tensors import DensityMatrix, _density_stack, _tensor_stack, random_tensor_components, to_tensor
 
 __all__ = ["main", "read_state_file", "write_state_file", "parse_angle", "parse_range"]
 
@@ -292,9 +292,8 @@ def cmd_sweep(args) -> int:
         return EXIT_PARSE
     cells = [(float(p), float(theta)) for p in p_values for theta in theta_values]
     mats = _channel_stack([ChannelParams.equal(p, 2.0 * theta) for p, theta in cells])
-    rhos = [DensityMatrix(mat, HalfInt(2)) for mat in mats]
     try:
-        forms = decompose_many([to_tensor(rho) for rho in rhos])
+        forms = decompose_many(_tensor_stack(*_density_stack(mats, HalfInt(2))))
     except (DecompositionError, ValidationError) as exc:
         p, theta = cells[exc.index]
         print(f"error: decomposition failed during sweep at p={_fmt(p)}, theta={_fmt(theta)}: {exc}",

@@ -8,11 +8,14 @@ class DomainError(ValueError):
 class ValidationError(ValueError):
     """Input data violates a structural invariant (finiteness, hermiticity, trace, conjugation symmetry).
 
-    ``index`` is the position of the failing item when the error comes from a
-    batch call such as :func:`spinaxes.axes.decompose_many`, else ``None``.
+    ``index`` is the position of the failing item in a stack check, such as
+    :func:`spinaxes.axes.decompose_many` runs; single-item checks treat their
+    input as a stack of one and report 0. ``None`` where not known.
     """
 
-    index = None
+    def __init__(self, message: str, *, index: int | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 class DecompositionError(RuntimeError):

@@ -12,7 +12,10 @@ hermiticity of rho is equivalent to t[k,q]* = (-1)^q t[k,-q].
 ``TensorComponents.array`` stores all t[k,q] as one read-only flat complex
 array, k ascending and q descending within each rank, t[k,q] at index
 k^2 + k - q: the layout of the stacked operator basis, so expansion and
-resummation are single array contractions.
+resummation are single array contractions. ``_density_stack`` checks an
+(N, d, d) matrix stack, ``_tensor_stack`` expands it and ``_check_tensor_stack``
+validates an (N, (2j+1)^2) component stack, the lowest failing item raising
+with ``index`` set; DensityMatrix, to_tensor and validate are stacks of one.
 """
 
 from functools import lru_cache
@@ -62,24 +65,8 @@ class DensityMatrix:
     __slots__ = ("j", "matrix")
 
     def __init__(self, matrix, j=None, *, tol: float = HERMITICITY_TOL):
-        arr = np.array(matrix, dtype=complex)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
-            raise ValidationError(f"expected a square matrix, got shape {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise ValidationError("matrix has non-finite entries")
-        dim = arr.shape[0]
-        jj = HalfInt(dim - 1) if j is None else HalfInt.coerce(j)
-        if jj.twice + 1 != dim:
-            raise ValidationError(f"matrix dimension {dim} does not match j={jj} (need {jj.twice + 1})")
-        herm = float(np.max(np.abs(arr - arr.conj().T)))
-        if herm > tol:
-            raise ValidationError(f"matrix is not Hermitian (max deviation {herm:.3e})")
-        trace = complex(arr.trace())
-        if abs(trace - 1.0) > max(tol, TRACE_TOL):
-            raise ValidationError(f"trace must be 1, got {trace:.12g}")
-        arr.setflags(write=False)
-        self.j = jj
-        self.matrix = arr
+        arr, self.j = _density_stack(np.array(matrix, dtype=complex)[None], j, tol)
+        self.matrix = arr[0]
 
     @property
     def dim(self) -> int:
@@ -161,18 +148,11 @@ class TensorComponents:
 
     def max_conjugation_defect(self) -> float:
         """Largest violation of t[k,q]* = (-1)^q t[k,-q]."""
-        mirror, sign = _conjugation_mirror(self.j.twice)
-        return float(np.max(np.abs(self.array.conj() - sign * self.array[mirror])))
+        return float(_conjugation_defects(self.array[None], self.j.twice)[0])
 
     def validate(self, tol: float = CONJUGATION_TOL) -> None:
         """Raise ValidationError unless all components are finite, t[0,0] = 1 and conjugation symmetry holds."""
-        if not np.isfinite(self.array).all():
-            raise ValidationError("tensor components have non-finite entries")
-        if abs(self[0, 0] - 1.0) > tol:
-            raise ValidationError(f"t[0,0] must be 1 (unit trace), got {self[0, 0]:.12g}")
-        defect = self.max_conjugation_defect()
-        if defect > tol:
-            raise ValidationError(f"conjugation symmetry violated by {defect:.3e} (tol {tol:.1e})")
+        _check_tensor_stack(self.array[None], self.j.twice, tol)
 
     def __repr__(self) -> str:
         return f"TensorComponents(j={self.j})"
@@ -186,8 +166,52 @@ def to_tensor(rho) -> TensorComponents:
     """
     if not isinstance(rho, DensityMatrix):
         rho = DensityMatrix(rho)
-    basis = _tensor_operator_cached(rho.j.twice)
-    return TensorComponents(rho.j, np.einsum("ij,nji->n", rho.matrix, basis))
+    return _tensor_stack(rho.matrix[None], rho.j)[0]
+
+
+def _density_stack(arr: np.ndarray, j, tol: float = HERMITICITY_TOL) -> tuple[np.ndarray, HalfInt]:
+    """The (N, d, d) stack, made read-only, and its j; the lowest matrix failing DensityMatrix's checks raises."""
+    if arr.ndim != 3 or arr.shape[1] != arr.shape[2] or arr.shape[1] < 1:
+        raise ValidationError(f"expected a square matrix, got shape {arr.shape[1:]}", index=0)
+    dim = arr.shape[1]
+    # j is checked after the first matrix's entries, so a non-finite first matrix fails first
+    jj = HalfInt(dim - 1) if j is None or not np.isfinite(arr[:1]).all() else HalfInt.coerce(j)
+    if jj.twice + 1 != dim:
+        raise ValidationError(f"matrix dimension {dim} does not match j={jj} (need {jj.twice + 1})", index=0)
+    with np.errstate(invalid="ignore"):  # a non-finite entry makes herm NaN or inf, failing its matrix
+        herm = np.abs(arr - arr.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+        trace = arr.trace(axis1=1, axis2=2)
+        ok = (herm <= tol) & (np.abs(trace - 1.0) <= max(tol, TRACE_TOL))
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise ValidationError("matrix has non-finite entries" if not np.isfinite(arr[i]).all()
+                              else f"matrix is not Hermitian (max deviation {herm[i]:.3e})" if herm[i] > tol
+                              else f"trace must be 1, got {complex(trace[i]):.12g}", index=i)
+    arr.setflags(write=False)
+    return arr, jj
+
+
+def _tensor_stack(arr: np.ndarray, j: HalfInt) -> list[TensorComponents]:
+    """:func:`to_tensor` of each matrix of a checked (N, d, d) stack of spin j, in one contraction."""
+    return [TensorComponents(j, row) for row in np.einsum("nij,kji->nk", arr, _tensor_operator_cached(j.twice))]
+
+
+def _conjugation_defects(stack: np.ndarray, tj: int) -> np.ndarray:
+    """Largest violation of t[k,q]* = (-1)^q t[k,-q] in each row of an (N, (2j+1)^2) component stack."""
+    mirror, sign = _conjugation_mirror(tj)
+    return np.abs(stack.conj() - sign * stack[:, mirror]).max(axis=1)
+
+
+def _check_tensor_stack(stack: np.ndarray, tj: int, tol: float) -> None:
+    """:meth:`TensorComponents.validate` of each row of a component stack; the lowest failing row raises."""
+    with np.errstate(invalid="ignore"):  # a non-finite entry makes its row's defect NaN or inf, failing it
+        t00, defect = stack[:, 0], _conjugation_defects(stack, tj)
+        ok = np.maximum(np.abs(t00 - 1.0), defect) <= tol
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise ValidationError("tensor components have non-finite entries" if not np.isfinite(stack[i]).all() else
+                              f"t[0,0] must be 1 (unit trace), got {complex(t00[i]):.12g}" if abs(t00[i] - 1.0) > tol
+                              else f"conjugation symmetry violated by {defect[i]:.3e} (tol {tol:.1e})", index=i)
 
 
 def from_tensor(t: TensorComponents) -> DensityMatrix:

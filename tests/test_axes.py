@@ -12,6 +12,7 @@ from spinaxes.angular import (
 from spinaxes.axes import (
     DEFICIENCY_REL_TOL,
     EMPTY_RANK_TOL,
+    INPUT_TOL,
     PAIRING_TOL,
     RESIDUAL_TOL,
     ROOT_RESIDUAL_TOL,
@@ -35,6 +36,7 @@ from spinaxes.states import Spinor, pure_two_spinor, symmetrize_pure
 from spinaxes.tensors import (
     DensityMatrix,
     TensorComponents,
+    _check_tensor_stack,
     random_tensor_components,
     rotate_tensor,
     to_tensor,
@@ -416,6 +418,18 @@ class TestPairingMatchesReferenceLoop:
 
     def test_empty_point_list(self):
         assert pair_and_canonicalize([]) == []
+
+    def test_near_ties_order_by_nine_decimal_key(self):
+        # theta equal to 9 decimals orders by phi; a theta straddling a rounding boundary orders by theta;
+        # at 0.3688888895 Python's correctly rounded round and np.round disagree, so only the former passes
+        assert round(0.3688888895, 9) != np.round(0.3688888895, 9)
+        for axes in ([(1.0 + 1e-11, 0.2), (1.0, 0.5)], [(1.0, 0.5), (1.0 + 1e-11, 0.2), (1.0 - 1e-11, 0.2)],
+                     [(0.7000000005 + 1e-13, 0.1), (0.7000000005 - 1e-13, 0.9)], [(0.5, 2.0), (0.5, 2.0 + 1e-12)],
+                     [(0.3688888895, 0.9), (0.3688888895 + 4e-13, 0.1)]):
+            points = [pt for theta, phi in axes for pt in ((theta, phi), (math.pi - theta, phi + math.pi))]
+            expected = self.assert_same(points)
+            key = [(round(ax.theta, 9), round(ax.phi, 9), ax.theta, ax.phi) for ax in expected]
+            assert key == sorted(key)
 
 
 class TestScalarR:
@@ -800,6 +814,39 @@ class TestDecomposeMany:
                 decompose_many(stack)
             assert (info.value.index, type(info.value), str(info.value)) == expected
             assert getattr(info.value, "rank", None) == rank
+
+    def test_lowest_invalid_item_raises_its_validate_message(self):
+        rng = np.random.default_rng(45)
+        good = [random_tensor_components(HalfInt(2), rng) for _ in range(4)]
+        mirrored = TensorComponents(HalfInt(2), {(1, 1): 0.3, (1, -1): 0.3})  # should be -conj
+        big_trace = TensorComponents(HalfInt(2), np.where(np.arange(9) == 0, 1.5, good[0].array))
+        infinite = TensorComponents(HalfInt(2), np.where(np.arange(9) == 4, np.inf, good[0].array))
+        for bad in (mirrored, big_trace, infinite):
+            with pytest.raises(ValidationError) as alone:
+                bad.validate(INPUT_TOL)
+            assert alone.value.index == 0
+            for stack, index in (([bad] + good, 0), (good[:2] + [bad] + good[2:], 2), (good + [bad], 4)):
+                for later in ([], [mirrored, big_trace, infinite]):  # bad items after the lowest change nothing
+                    with pytest.raises(ValidationError) as info:
+                        decompose_many(stack + later)
+                    assert (info.value.index, str(info.value)) == (index, str(alone.value))
+        with pytest.raises(ValidationError) as info:
+            decompose_many(good[:1] + [big_trace, mirrored])
+        assert (info.value.index, str(info.value)) == (1, "t[0,0] must be 1 (unit trace), got 1.5+0j")
+        with pytest.raises(ValidationError) as info:
+            decompose_many(good[:1] + [mirrored, big_trace])
+        assert info.value.index == 1 and str(info.value).startswith("conjugation symmetry violated by 6.000e-01")
+
+    def test_valid_stack_validates_as_each_item_alone(self):
+        rng = np.random.default_rng(46)
+        for tj in (1, 2, 5, 16):
+            stack = [random_tensor_components(HalfInt(tj), rng) for _ in range(5)]
+            nudged = stack[0].array + np.where(np.arange((tj + 1) ** 2) == 0, 0.9 * INPUT_TOL, 0.0)
+            stack.append(TensorComponents(HalfInt(tj), nudged))  # t[0,0] off by less than the tolerance
+            for t in stack:
+                t.validate(INPUT_TOL)
+            _check_tensor_stack(np.array([t.array for t in stack]), tj, INPUT_TOL)
+            assert [summary(form) for form in decompose_many(stack)] == [summary(decompose(t)) for t in stack]
 
     def test_error_reports_rank_and_stage(self, monkeypatch):
         rho = symmetrize_pure([Spinor(0.7, 2.3)] * 6)  # coherent state off the z-axis

@@ -257,6 +257,22 @@ class TestSweep:
         assert err == "error: decomposition failed during sweep at p=1, theta=0: synthetic failure\n"
         assert not out.exists()
 
+    def test_invalid_cell_matrix_is_named(self, tmp_path, capsys, monkeypatch):
+        real = cli._channel_stack
+
+        def skew_second_cell(params):
+            mats = real(params).copy()
+            mats[1, 0, 1] += 1e-3
+            return mats
+
+        monkeypatch.setattr(cli, "_channel_stack", skew_second_cell)
+        out = tmp_path / "grid.csv"
+        code, _, err = run(capsys, ["sweep", "--p", "0:1:2", "--theta", "0:0.5:2", "--out", str(out)])
+        assert code == 3
+        assert err == ("error: decomposition failed during sweep at p=0, theta=0.5: "
+                       "matrix is not Hermitian (max deviation 1.000e-03)\n")
+        assert not out.exists()
+
 
 class TestSelfcheck:
     def test_passes_with_seed(self, capsys):

@@ -101,7 +101,7 @@ class TestEnumerate:
         for tj in (1, 2, 5, 12, 16):
             form = decompose(to_tensor(random_density_matrix(tj / 2, rng)))
             inv = enumerate_invariants(form)
-            labeled = form.labeled_axes()
+            labeled = [((k, i), ax) for k in form.present_ranks for i, ax in enumerate(form.rank(k).axes)]
             assert inv.axis_labels == tuple(lbl for lbl, _ in labeled)
             pairs = [(a, b) for a in range(len(labeled)) for b in range(a + 1, len(labeled))]
             assert [(la, lb) for la, lb, _ in inv.pairwise] == [(labeled[a][0], labeled[b][0]) for a, b in pairs]

@@ -1,10 +1,11 @@
 """`spinaxes sweep` against a per-cell reference, byte for byte.
 
 The reference below is the per-cell code the sweep ran before it built its
-grid as stacks: a kron-based two-beam state, one PPT eigensolve per cell and
-one invariant pass per decomposition. It calls none of the stacked helpers
-(nor channel_mixed, ppt_separable or enumerate_invariants, which now run
-them on a stack of one), so any bit the stacked sweep changes shows up here.
+grid as stacks: a kron-based two-beam state, one expansion in the tensor
+operator basis per cell, one PPT eigensolve per cell and one invariant pass
+per decomposition. It calls none of the stacked helpers (nor channel_mixed,
+to_tensor, ppt_separable or enumerate_invariants, which now run them on a
+stack of one), so any bit the stacked sweep changes shows up here.
 """
 
 import math
@@ -13,13 +14,13 @@ import numpy as np
 import pytest
 
 from spinaxes import cli
-from spinaxes.angular import HalfInt, clebsch_gordan, unit_vector, unit_vector_components
+from spinaxes.angular import HalfInt, clebsch_gordan, tensor_operator, unit_vector, unit_vector_components
 from spinaxes.axes import decompose
 from spinaxes.invariants import enumerate_invariants, spin1_named
 from spinaxes.states import (
     TRIPLET_ISOMETRY, ChannelParams, _slf_polar_angles, channel_mixed, ppt_separable, random_density_matrix,
 )
-from spinaxes.tensors import DensityMatrix, TensorComponents, to_tensor
+from spinaxes.tensors import DensityMatrix, TensorComponents
 
 CG_SCALAR = tuple(clebsch_gordan(1, 1, 0, q, -q, 0) for q in (1, 0, -1))
 
@@ -36,6 +37,13 @@ def reference_channel_mixed(params):
     return DensityMatrix(projected / float(projected.trace().real), HalfInt(2))
 
 
+def reference_tensor(rho):
+    """t[k,q] = Tr(rho tau[k,q]) of one matrix, as to_tensor computed it per matrix."""
+    tj = rho.j.twice
+    basis = np.array([tensor_operator(HalfInt(tj), k, q) for k in range(tj + 1) for q in range(k, -k - 1, -1)])
+    return TensorComponents(rho.j, np.einsum("ij,nji->n", rho.matrix, basis))
+
+
 def reference_ppt(rho, tol=1e-10):
     four = TRIPLET_ISOMETRY.conj().T @ rho.matrix @ TRIPLET_ISOMETRY
     pt = four.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
@@ -45,7 +53,7 @@ def reference_ppt(rho, tol=1e-10):
 
 def reference_invariants(form):
     """(scalars, pairwise, abs_cosines, axis_labels, count) of one form."""
-    labeled = form.labeled_axes()
+    labeled = [((k, i), ax) for k in form.present_ranks for i, ax in enumerate(form.rank(k).axes)]
     labels = tuple(lbl for lbl, _ in labeled)
     n = len(labeled)
     theta, phi = np.array([(ax.theta, ax.phi) for _, ax in labeled]).reshape(n, 2).T
@@ -74,7 +82,7 @@ def reference_csv(p_range, theta_range):
         for theta in cli.parse_range(theta_range):
             p, theta = float(p), float(theta)
             rho = reference_channel_mixed(ChannelParams(p, p, 2.0 * theta))
-            scalars, pairwise, _, _, _ = reference_invariants(decompose(to_tensor(rho)))
+            scalars, pairwise, _, _, _ = reference_invariants(decompose(reference_tensor(rho)))
             values = [0.0 if v is None else v for v in reference_named(scalars, pairwise)]
             lowest, separable = reference_ppt(rho)
             lines.append(",".join([fmt(p), fmt(theta)] + [fmt(v) for v in values]
@@ -109,16 +117,18 @@ def test_states_and_ppt_equal_per_cell_reference():
 
 
 def test_mixed_rank_grid_mixes_rank_structures():
-    ranks = {decompose(to_tensor(reference_channel_mixed(ChannelParams.equal(float(p), 2.0 * float(t))))).present_ranks
-             for p in cli.parse_range("0.5:1:3") for t in cli.parse_range("0:180deg:5")}
+    cells = [(float(p), 2.0 * float(t)) for p in cli.parse_range("0.5:1:3") for t in cli.parse_range("0:180deg:5")]
+    ranks = {decompose(reference_tensor(reference_channel_mixed(ChannelParams.equal(*cell)))).present_ranks
+             for cell in cells}
     assert {(1, 2), (2,)} <= ranks
 
 
 def test_enumerate_invariants_equals_per_form_reference():
     rng = np.random.default_rng(12)
-    forms = [decompose(to_tensor(random_density_matrix(HalfInt(tj), rng, pure=tj % 3 == 0))) for tj in range(1, 17)]
-    forms += [decompose(to_tensor(reference_channel_mixed(ChannelParams.equal(1.0, math.pi)))),  # rank 1 absent
-              decompose(to_tensor(DensityMatrix.maximally_mixed(2)))]  # no axes
+    forms = [decompose(reference_tensor(random_density_matrix(HalfInt(tj), rng, pure=tj % 3 == 0)))
+             for tj in range(1, 17)]
+    forms += [decompose(reference_tensor(reference_channel_mixed(ChannelParams.equal(1.0, math.pi)))),  # rank 1 absent
+              decompose(reference_tensor(DensityMatrix.maximally_mixed(2)))]  # no axes
     assert forms[-2].present_ranks == (2,) and forms[-1].present_ranks == ()
     for form in forms:
         inv = enumerate_invariants(form)
@@ -134,11 +144,11 @@ def test_enumerate_invariants_equals_per_form_reference():
 
 def test_spin1_named_equals_triple_lookup_reference():
     t_rank1_only = TensorComponents(HalfInt(2), {(1, 1): 0.1 - 0.2j, (1, 0): 0.3, (1, -1): -0.1 - 0.2j})
-    forms = [decompose(to_tensor(reference_channel_mixed(ChannelParams.equal(p, t))))
+    forms = [decompose(reference_tensor(reference_channel_mixed(ChannelParams.equal(p, t))))
              for p in (0.3, 0.8, 1.0) for t in (0.5, 2.0, 3.0)]
-    forms += [decompose(to_tensor(reference_channel_mixed(ChannelParams.equal(1.0, math.pi)))),  # rank 1 absent
+    forms += [decompose(reference_tensor(reference_channel_mixed(ChannelParams.equal(1.0, math.pi)))),  # rank 1 absent
               decompose(t_rank1_only),  # rank 2 absent
-              decompose(to_tensor(DensityMatrix.maximally_mixed(1)))]  # no axes
+              decompose(reference_tensor(DensityMatrix.maximally_mixed(1)))]  # no axes
     assert {form.present_ranks for form in forms} == {(1, 2), (2,), (1,), ()}
     for form in forms:
         scalars, pairwise, *_ = reference_invariants(form)

@@ -8,6 +8,8 @@ from spinaxes.errors import DomainError, ValidationError
 from spinaxes.tensors import (
     DensityMatrix,
     TensorComponents,
+    _density_stack,
+    _tensor_stack,
     from_tensor,
     random_tensor_components,
     rotate_density,
@@ -178,6 +180,61 @@ class TestToTensor:
             assert t.max_conjugation_defect() < 1e-13
             for k in range(t.j.twice + 1):
                 assert abs(t[(k, 0)].imag) < 1e-13
+
+
+def per_matrix_tensor(mat, tj):
+    """t[k,q] = Tr(rho tau[k,q]) of one matrix, in the per-matrix contraction the stacked expansion replaced."""
+    basis = np.array([tensor_operator(HalfInt(tj), k, q) for k in range(tj + 1) for q in range(k, -k - 1, -1)])
+    return np.einsum("ij,nji->n", mat, basis)
+
+
+def bad_matrix(kind):
+    mat = np.diag([0.5, 0.3, 0.2]).astype(complex)
+    if kind == "non-finite":
+        mat[1, 2] = np.nan
+    elif kind == "non-Hermitian":
+        mat[0, 1] = 0.1
+    else:
+        mat *= 1.5
+    return mat
+
+
+class TestStacks:
+    @pytest.mark.parametrize("twice_j", range(1, 17))
+    def test_stacked_expansion_equals_per_matrix_einsum(self, twice_j):
+        rng = np.random.default_rng(100 + twice_j)
+        dim = twice_j + 1
+        vecs = [rng.normal(size=(dim, cols)) + 1j * rng.normal(size=(dim, cols)) for cols in (1, 1, dim, dim)]
+        mats = np.array([v @ v.conj().T / np.trace(v @ v.conj().T).real for v in vecs])  # pure, then Ginibre
+        ts = _tensor_stack(*_density_stack(mats.copy(), HalfInt(twice_j)))
+        for mat, t in zip(mats, ts):
+            expected = per_matrix_tensor(mat, twice_j).tobytes()
+            assert t.j == HalfInt(twice_j) and t.array.tobytes() == expected
+            assert to_tensor(DensityMatrix(mat)).array.tobytes() == expected
+
+    @pytest.mark.parametrize("kind", ["non-finite", "non-Hermitian", "trace"])
+    def test_stack_check_raises_lowest_matrix_message(self, kind):
+        good = [random_state(np.random.default_rng(seed), 3).matrix for seed in range(5)]
+        with pytest.raises(ValidationError) as alone:
+            DensityMatrix(bad_matrix(kind))
+        assert alone.value.index == 0
+        for later in ([], [bad_matrix("non-finite"), bad_matrix("trace")]):  # bad matrices after it change nothing
+            with pytest.raises(ValidationError) as info:
+                _density_stack(np.array(good[:2] + [bad_matrix(kind)] + good[2:] + later), HalfInt(2))
+            assert (info.value.index, str(info.value)) == (2, str(alone.value))
+
+    def test_stack_checks_j_after_the_first_matrix_entries(self):
+        good = random_state(np.random.default_rng(7), 3).matrix
+        with pytest.raises(ValidationError, match="does not match j=2") as info:
+            _density_stack(np.array([good, bad_matrix("non-finite")]), HalfInt(4))
+        assert info.value.index == 0
+        with pytest.raises(ValidationError, match="non-finite") as info:
+            _density_stack(np.array([bad_matrix("non-finite"), good]), HalfInt(4))
+        assert info.value.index == 0
+        with pytest.raises(ValidationError, match="non-finite"):
+            DensityMatrix(bad_matrix("non-finite"), j=0.3)
+        arr, j = _density_stack(np.array([good, good]), None)
+        assert j == HalfInt(2) and not arr.flags.writeable
 
 
 class TestFromTensor:
