@@ -1,18 +1,17 @@
 """Numerical angular momentum algebra.
 
 Clebsch-Gordan coefficients and Wigner d/D rotation matrices are evaluated
-from their exact finite-sum expressions with integer factorial arithmetic,
-which keeps them accurate to a few ulp for the quantum numbers used here
-(j up to ~10, far past catastrophic-cancellation territory for naive float
-factorials). The full D matrix uses the same Wigner sum as a linear map:
-the coefficients of every element over the monomials
-cos(theta/2)^(2j-n) sin(theta/2)^n are built once per j from exact
-factorials and cached, so one D matrix is a single contraction of that table
-with the monomial vector, times two phase vectors. On top of these sit the
-irreducible tensor operators normalized to
-``Tr(tau[k,q]^dag tau[k',q']) = (2j+1) delta_kk' delta_qq'``, spherical
-(rank-1) components of unit vectors, and Clebsch-Gordan coupling of
-spherical tensors.
+from their exact finite-sum expressions with integer factorial arithmetic: a
+Racah sum is one integer over the lcm of its term denominators, and each ratio
+one correctly rounded int / int division, which keeps them accurate to a few
+ulp for the quantum numbers used here (j up to ~10, far past the cancellation
+that ruins float factorials). The tensor operators tau[k,q], normalized to
+``Tr(tau[k,q]^dag tau[k',q']) = (2j+1) delta_kk' delta_qq'``, are built once per
+j from the coefficients that the CG symmetries do not give, the rest filled in
+by sign. The full D matrix is a cached table of Wigner-sum coefficients over
+the monomials cos(theta/2)^(2j-n) sin(theta/2)^n, contracted with the monomial
+vector and two phase vectors. Spherical components of unit vectors and the
+coupling of spherical tensors complete the module.
 
 Conventions
 -----------
@@ -36,7 +35,6 @@ Conventions
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -133,9 +131,8 @@ def _check_projection(tj: int, tm: int, names: str = "m, j") -> None:
         raise DomainError(f"|projection| exceeds momentum ({names})")
 
 
-@lru_cache(maxsize=None)
 def _cg_exact(tj1: int, tj2: int, tj3: int, tm1: int, tm2: int, tm3: int) -> float:
-    """Clebsch-Gordan coefficient from the Racah sum with exact rational arithmetic.
+    """Clebsch-Gordan coefficient from the Racah sum in exact integer arithmetic.
 
     Arguments are twice the quantum numbers. Selection-rule failures return 0;
     structurally invalid combinations raise DomainError.
@@ -144,41 +141,28 @@ def _cg_exact(tj1: int, tj2: int, tj3: int, tm1: int, tm2: int, tm3: int) -> flo
         raise DomainError("angular momenta must be non-negative")
     if (tj1 + tj2 + tj3) % 2:
         raise DomainError("j1 + j2 + j3 must be an integer")
-    for tj, tm in ((tj1, tm1), (tj2, tm2), (tj3, tm3)):
-        if (tj + tm) % 2:
-            raise DomainError("each m must differ from its j by an integer")
-    if tm1 + tm2 != tm3:
-        return 0.0
-    if not abs(tj1 - tj2) <= tj3 <= tj1 + tj2:
-        return 0.0
-    if abs(tm1) > tj1 or abs(tm2) > tj2 or abs(tm3) > tj3:
+    if (tj1 + tm1) % 2 or (tj2 + tm2) % 2 or (tj3 + tm3) % 2:
+        raise DomainError("each m must differ from its j by an integer")
+    if (tm1 + tm2 != tm3 or not abs(tj1 - tj2) <= tj3 <= tj1 + tj2
+            or abs(tm1) > tj1 or abs(tm2) > tj2 or abs(tm3) > tj3):
         return 0.0
 
     f = math.factorial
     a = (tj1 + tj2 - tj3) // 2
     b = (tj1 - tj2 + tj3) // 2
     c = (-tj1 + tj2 + tj3) // 2
-    pref2 = Fraction(
-        (tj3 + 1)
-        * f(a) * f(b) * f(c)
-        * f((tj1 + tm1) // 2) * f((tj1 - tm1) // 2)
-        * f((tj2 + tm2) // 2) * f((tj2 - tm2) // 2)
-        * f((tj3 + tm3) // 2) * f((tj3 - tm3) // 2),
-        f((tj1 + tj2 + tj3) // 2 + 1),
-    )
+    num = (tj3 + 1) * f(a) * f(b) * f(c) * f((tj1 + tm1) // 2) * f((tj1 - tm1) // 2) \
+        * f((tj2 + tm2) // 2) * f((tj2 - tm2) // 2) * f((tj3 + tm3) // 2) * f((tj3 - tm3) // 2)
+    den = f((tj1 + tj2 + tj3) // 2 + 1)
     j1m1 = (tj1 - tm1) // 2
     j2pm2 = (tj2 + tm2) // 2
     d1 = (tj3 - tj2 + tm1) // 2
     d2 = (tj3 - tj1 - tm2) // 2
-    total = Fraction(0)
-    for z in range(max(0, -d1, -d2), min(a, j1m1, j2pm2) + 1):
-        total += Fraction(
-            (-1) ** z,
-            f(z) * f(a - z) * f(j1m1 - z) * f(j2pm2 - z) * f(d1 + z) * f(d2 + z),
-        )
-    if total == 0:
-        return 0.0
-    return float(total) * math.sqrt(pref2)
+    zs = range(max(0, -d1, -d2), min(a, j1m1, j2pm2) + 1)
+    denoms = [f(z) * f(a - z) * f(j1m1 - z) * f(j2pm2 - z) * f(d1 + z) * f(d2 + z) for z in zs]
+    common = math.lcm(*denoms)
+    total = sum(-(common // d) if z % 2 else common // d for z, d in zip(zs, denoms))
+    return (total / common) * math.sqrt(num / den)
 
 
 def clebsch_gordan(j1, j2, j3, m1, m2, m3) -> float:
@@ -244,7 +228,7 @@ def _wigner_d_table(tj: int) -> np.ndarray:
             pref2 = f(jmp) * f(jmmp) * f(jm) * f(jmm)
             for k in range(max(0, -mu), min(jm, jmmp) + 1):
                 denom = f(jm - k) * f(k) * f(mu + k) * f(jmmp - k)
-                table[r * dim + c, mu + 2 * k] = (-1) ** (mu + k) * math.sqrt(Fraction(pref2, denom * denom))
+                table[r * dim + c, mu + 2 * k] = (-1) ** (mu + k) * math.sqrt(pref2 / (denom * denom))
     table.setflags(write=False)
     return table
 
@@ -276,17 +260,24 @@ def tensor_index(k: int, q: int) -> int:
 
 @lru_cache(maxsize=None)
 def _tensor_operator_cached(tj: int) -> np.ndarray:
-    """Read-only stack of every tau[k,q] for j = tj/2, indexed by :func:`tensor_index`."""
+    """Read-only stack of every tau[k,q] for j = tj/2, indexed by :func:`tensor_index`.
+
+    Half of each q >= 0 diagonal is evaluated; C(j k j; m q m') = (-1)^(k+q) C(j k j; -m' q -m)
+    mirrors it and C(j k j; -m -q -m') = (-1)^k C(j k j; m q m') gives q < 0, bit for bit.
+    """
     dim = tj + 1
     basis = np.zeros((dim * dim, dim, dim), dtype=complex)
     for k in range(tj + 1):
         scale = math.sqrt(2 * k + 1)
-        for q in range(-k, k + 1):
-            for col, tm in enumerate(range(tj, -tj - 2, -2)):
-                tmp = tm + 2 * q
-                if abs(tmp) <= tj:
-                    row = (tj - tmp) // 2
-                    basis[tensor_index(k, q), row, col] = scale * _cg_exact(tj, 2 * k, tj, tm, 2 * q, tmp)
+        for q in range(k + 1):
+            op = basis[k * k + k - q]
+            # element (col - q, col) is C(j k j; m q m + q) with m = j - col
+            for col in range(q, (tj + q) // 2 + 1):
+                v = scale * _cg_exact(tj, 2 * k, tj, tj - 2 * col, 2 * q, tj - 2 * (col - q))
+                op[col - q, col] = v
+                op[tj - col, tj + q - col] = 0.0 - v if (k + q) % 2 else v  # 0.0 - v keeps zeros +0.0
+            if q:
+                basis[k * k + k + q] = 0.0 - op[::-1, ::-1] if k % 2 else op[::-1, ::-1]
     basis.setflags(write=False)
     return basis
 

@@ -27,6 +27,7 @@ Axis objects read their angles into one array per call.
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -302,6 +303,14 @@ def _ranks(rows: np.ndarray, ks: np.ndarray) -> list:
     return decs
 
 
+@lru_cache(maxsize=None)
+def _binomial_weights(width: int) -> np.ndarray:
+    """Read-only sqrt(binom(2k, r)) for r < width, one row per k = 0 ... width // 2."""
+    weights = np.sqrt([[math.comb(2 * k, r) for r in range(width)] for k in range(width // 2 + 1)])
+    weights.setflags(write=False)
+    return weights
+
+
 def _polynomials(rows: np.ndarray, ks: np.ndarray):
     """Axis polynomials of stacked components, row i holding t[k, +k ... -k] for k = ks[i], zero-padded.
 
@@ -312,7 +321,7 @@ def _polynomials(rows: np.ndarray, ks: np.ndarray):
     present = ~(np.abs(rows).max(axis=1) < EMPTY_RANK_TOL)
     width = rows.shape[1]
     # C_r = sqrt(binom(2k, r)) t[k, r-k]; past r = 2k the weight is 0 and the index wraps onto padding
-    weights = np.sqrt([[math.comb(2 * k, r) for r in range(width)] for k in range(width // 2 + 1)])[ks]
+    weights = _binomial_weights(width)[ks]
     coeffs = weights * rows[np.arange(len(rows))[:, None], (2 * ks[:, None] - np.arange(width)) % width]
     mags = np.abs(coeffs)
     big = mags > DEFICIENCY_REL_TOL * mags.max(axis=1, keepdims=True)

@@ -212,7 +212,7 @@ def ppt_separable(rho: DensityMatrix) -> PptResult:
     return _ppt_stack(rho.matrix[None])[0]
 
 
-def random_density_matrix(j, rng: np.random.Generator, *, pure: bool = False) -> DensityMatrix:
+def random_density_matrix(j, rng: "np.random.Generator", *, pure: bool = False) -> DensityMatrix:
     """Random unit-trace positive matrix (Ginibre construction) or random pure state."""
     dim = HalfInt.coerce(j).twice + 1
     if pure:

@@ -248,7 +248,7 @@ def rotate_density(rho: DensityMatrix, phi: float, theta: float, psi: float) -> 
     return DensityMatrix(u.conj().T @ rho.matrix @ u, rho.j)
 
 
-def random_tensor_components(j, rng: np.random.Generator, scale: float = 1.0) -> TensorComponents:
+def random_tensor_components(j, rng: "np.random.Generator", scale: float = 1.0) -> TensorComponents:
     """Random components satisfying the conjugation symmetry (not necessarily a positive state).
 
     Each rank k >= 1 gets independent complex Gaussians for q > 0, a real

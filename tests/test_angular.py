@@ -70,6 +70,8 @@ class TestClebschGordan:
             clebsch_gordan(0.5, 0.5, 0.5, 0.5, -0.5, 0.0)  # j1+j2+j3 not an integer
         with pytest.raises(DomainError):
             clebsch_gordan(1, 1, 2, 0.5, 0.5, 1)  # m not integer-spaced from j
+        with pytest.raises(DomainError):
+            clebsch_gordan(-1, 1, 1, 0, 0, 0)  # negative j
 
     def test_against_sympy(self):
         # independent oracle over every (j, m) combination up to j = 2

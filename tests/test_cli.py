@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import spinaxes
 from spinaxes import cli
 from spinaxes.errors import DecompositionError, DomainError, StateFileError
 from spinaxes.states import pure_two_spinor
@@ -14,6 +18,20 @@ def run(capsys, argv):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+class TestImport:
+    def test_import_leaves_numpy_random_unloaded(self):
+        # every CLI process pays for what `import spinaxes` loads; numpy.random is only needed by the
+        # random-state helpers, which import nothing at definition time
+        code = ("import sys, numpy; bare = 'numpy.random' in sys.modules; import spinaxes; "
+                "print(bare, 'numpy.random' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(spinaxes.__file__)))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+        bare, loaded = out.split()
+        if bare == "True":
+            pytest.skip("this numpy loads numpy.random on import")
+        assert loaded == "False"
 
 
 class TestParsing:
