@@ -8,10 +8,10 @@ ulp for the quantum numbers used here (j up to ~10, far past the cancellation
 that ruins float factorials). The tensor operators tau[k,q], normalized to
 ``Tr(tau[k,q]^dag tau[k',q']) = (2j+1) delta_kk' delta_qq'``, are built once per
 j from the coefficients that the CG symmetries do not give, the rest filled in
-by sign. The full D matrix is a cached table of Wigner-sum coefficients over
-the monomials cos(theta/2)^(2j-n) sin(theta/2)^n, contracted with the monomial
-vector and two phase vectors. Spherical components of unit vectors and the
-coupling of spherical tensors complete the module.
+by sign, as are the coupling tables. The D matrix, and each d element, contract
+a cached table of Wigner-sum coefficients over the monomials cos(theta/2)^(2j-n)
+sin(theta/2)^n with the monomial vector (and two phase vectors). Spherical
+components of unit vectors and the coupling of spherical tensors complete it.
 
 Conventions
 -----------
@@ -177,21 +177,12 @@ def clebsch_gordan(j1, j2, j3, m1, m2, m3) -> float:
 
 
 def wigner_d_small(j, mp, m, theta: float) -> float:
-    """Wigner small-d rotation matrix element d^j_{m',m}(theta) from the Wigner sum."""
+    """Wigner small-d element d^j_{m',m}(theta): its :func:`wigner_D_matrix` table row, contracted alike."""
     tj, tmp, tm = _twice(j), _twice(mp), _twice(m)
     _check_projection(tj, tmp, "m', j")
     _check_projection(tj, tm, "m, j")
-    f = math.factorial
-    jm, jmm = (tj + tm) // 2, (tj - tm) // 2
-    jmp, jmmp = (tj + tmp) // 2, (tj - tmp) // 2
-    mu = (tmp - tm) // 2  # m' - m
-    pref = math.sqrt(f(jmp) * f(jmmp) * f(jm) * f(jmm))
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    total = 0.0
-    for k in range(max(0, -mu), min(jm, jmmp) + 1):
-        denom = f(jm - k) * f(k) * f(mu + k) * f(jmmp - k)
-        total += ((-1) ** (mu + k)) * c ** (tj - mu - 2 * k) * s ** (mu + 2 * k) / denom
-    return pref * total
+    row = (tj - tmp) // 2 * (tj + 1) + (tj - tm) // 2
+    return float(np.einsum("en,n->e", _wigner_d_table(tj)[row:row + 1], _monomials(tj, theta))[0])
 
 
 def wigner_D(k, qp, q, phi: float, theta: float, psi: float) -> complex:
@@ -233,18 +224,22 @@ def _wigner_d_table(tj: int) -> np.ndarray:
     return table
 
 
+def _monomials(tj: int, theta: float) -> np.ndarray:
+    """cos(theta/2)^(2j-n) sin(theta/2)^n for n = 0 ... 2j, the monomials of the Wigner sum."""
+    powers = np.arange(tj + 1)
+    return math.cos(theta / 2.0) ** powers[::-1] * math.sin(theta / 2.0) ** powers
+
+
 def wigner_D_matrix(j, phi: float, theta: float, psi: float) -> np.ndarray:
     """Full (2j+1) x (2j+1) Wigner D matrix, rows/columns ordered m = +j ... -j."""
     tj = _twice(j)
     if tj < 0:
         raise DomainError(f"angular momentum must be non-negative, got j={HalfInt(tj)}")
     dim = tj + 1
-    powers = np.arange(dim)
-    mono = math.cos(theta / 2.0) ** powers[::-1] * math.sin(theta / 2.0) ** powers
     # einsum, not the BLAS matrix-vector product: near theta = pi/2 at 2j = 32
     # the terms reach 1e4 and cancel, and the BLAS summation order loses about
     # twice as much there
-    d = np.einsum("en,n->e", _wigner_d_table(tj), mono).reshape(dim, dim)
+    d = np.einsum("en,n->e", _wigner_d_table(tj), _monomials(tj, theta)).reshape(dim, dim)
     m = np.arange(tj, -tj - 2, -2) / 2.0
     return np.exp(-1j * m * phi)[:, None] * d * np.exp(-1j * m * psi)[None, :]
 
@@ -307,12 +302,14 @@ def _couple_table(k1: int, k2: int, rank: int) -> tuple[np.ndarray, np.ndarray, 
     """
     terms = [[] for _ in range(2 * rank + 1)]
     for i1 in range(2 * k1 + 1):
-        for i2 in range(2 * k2 + 1):
+        for i2 in range(max(0, k1 - i1 + k2 - rank), min(2 * k2, k1 - i1 + k2) + 1):  # 0 <= q <= rank
             q = k1 - i1 + k2 - i2
-            if abs(q) <= rank:
-                cg = _cg_exact(2 * k1, 2 * k2, 2 * rank, 2 * (k1 - i1), 2 * (k2 - i2), 2 * q)
-                if cg:
-                    terms[rank - q].append((i1, i2, cg))
+            cg = _cg_exact(2 * k1, 2 * k2, 2 * rank, 2 * (k1 - i1), 2 * (k2 - i2), 2 * q)
+            if cg:
+                terms[rank - q].append((i1, i2, cg))
+    odd = (k1 + k2 - rank) % 2  # C(k1 k2 K; -q1 -q2 -q) = (-1)^(k1+k2-K) C(k1 k2 K; q1 q2 q), in reverse scan order
+    terms[rank + 1:] = [[(2 * k1 - i1, 2 * k2 - i2, 0.0 - cg if odd else cg) for i1, i2, cg in row[::-1]]
+                        for row in terms[:rank][::-1]]
     width = max(len(row) for row in terms)
     padded = np.array([[(0, 0, 0.0)] * (width - len(row)) + row for row in terms])
     tables = (padded[..., 0].astype(np.intp), padded[..., 1].astype(np.intp), padded[..., 2].astype(complex))

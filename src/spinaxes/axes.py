@@ -28,10 +28,11 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 
 import numpy as np
 
-from .angular import HalfInt, _wrap_azimuth, angle_between, couple, unit_vector, unit_vector_components
+from .angular import _TWO_PI, HalfInt, _wrap_azimuth, angle_between, couple, unit_vector, unit_vector_components
 from .errors import DecompositionError, DomainError, ValidationError
 from .tensors import TensorComponents, _check_tensor_stack
 
@@ -172,10 +173,10 @@ def build_polynomial(t: TensorComponents, k: int):
 def solve_axes(poly: RankPolynomial) -> list[tuple[float, float]]:
     """All 2k root points (theta, phi), with deficiency roots placed at theta = 0.
 
-    Finite roots come from the companion-matrix eigensolve (as np.roots) and
-    are checked against a residual bound of ROOT_RESIDUAL_TOL relative to the
-    coefficient scale, times max(1, |Z|)^degree (for |Z| > 1 both sides are divided
-    by it, so neither overflows); failures raise DecompositionError with diagnostics.
+    Finite roots come from the companion-matrix eigensolve (as np.roots), sorted by real, then imaginary
+    part, and are checked against a residual bound of ROOT_RESIDUAL_TOL relative to the coefficient scale,
+    times max(1, |Z|)^degree (for |Z| > 1 both sides are divided by it, so neither overflows); the first
+    root that misses it raises DecompositionError with diagnostics.
     """
     points = _root_points(poly.coefficients[None], np.array([poly.degree_deficiency]), np.array([poly.k]))
     return [tuple(point) for point in points[0].tolist()]
@@ -184,8 +185,8 @@ def solve_axes(poly: RankPolynomial) -> list[tuple[float, float]]:
 def pair_and_canonicalize(points) -> list[Axis]:
     """Match the 2k root points into antipodal pairs and pick one axis per pair.
 
-    Greedy nearest-antipode matching: each round takes the first row-major
-    minimum of atan2(|v_i x v_j|, -v_i . v_j) over unmatched pairs i < j. An
+    Greedy nearest-antipode matching: a scan of the pairs i < j by atan2(|v_i x v_j|, -v_i . v_j), row-major on
+    ties, takes each pair of two unmatched points, at each step the first row-major minimum over them. An
     m-fold root cluster is only accurate to about eps^(1/m), so the matching
     tolerance widens from PAIRING_TOL accordingly. The representative is the
     pair member with z > 0 (ties broken by x, then y), and the result is
@@ -328,12 +329,6 @@ def _polynomials(rows: np.ndarray, ks: np.ndarray):
     return coeffs, 2 * ks - (width - 1 - np.argmax(big[:, ::-1], axis=1)), present
 
 
-def _root_point(z: complex) -> tuple[float, float]:
-    theta = 2.0 * math.atan2(1.0, abs(z))
-    phi = 0.0 if z == 0 else _wrap_azimuth(-cmath.phase(z))
-    return (theta, phi)
-
-
 def _root_points(coeffs: np.ndarray, deficiency: np.ndarray, ks: np.ndarray) -> np.ndarray:
     """Root points (theta, phi) of stacked rank-ks[i] polynomials as :func:`solve_axes` gives them, zero-padded.
 
@@ -341,47 +336,51 @@ def _root_points(coeffs: np.ndarray, deficiency: np.ndarray, ks: np.ndarray) -> 
     np.roots does, exact zeros at either end of C_0 ... C_degree are
     stripped from the companion matrix, the low ones becoming roots at Z = 0;
     rows are grouped by rank, degree and stripped span, one eigensolve per
-    group. A group with a row whose roots miss the residual bound, or whose
-    eigensolve does not converge, raises that row's DecompositionError.
+    group; then the roots of all rows are sorted, checked and converted in one pass each. A row whose
+    eigensolve does not converge, else the lowest row with a root missing the residual bound, raises.
     """
-    out = np.zeros((len(coeffs), 2 * int(ks.max()), 2))  # deficiency roots sit at (0, 0)
+    degrees = 2 * ks - deficiency
+    real = np.zeros((len(ks), 2 * int(ks.max())), dtype=bool)  # the finite roots, after the deficiency roots
+    zs = np.zeros(real.shape, dtype=complex)  # the low roots at Z = 0 stay +0
     groups = {}
-    for row, (k, defic, nonzero) in enumerate(zip(ks.tolist(), deficiency.tolist(), (coeffs != 0).tolist())):
-        degree = 2 * k - defic
+    for row, (k, degree, nonzero) in enumerate(zip(ks.tolist(), degrees.tolist(), (coeffs != 0).tolist())):
         span = [r for r in range(degree + 1) if nonzero[r]] or [0]
         groups.setdefault((k, degree, span[0], span[-1]), []).append(row)
     for (k, degree, low, high), rows in groups.items():
-        if high == 0:  # no finite nonzero root
-            continue
-        c = coeffs[rows, :2 * k + 1]
+        real[rows, 2 * k - degree:2 * k] = high > 0  # C_0 alone: no finite root, every point at (0, 0)
         size = high - low
-        roots = np.zeros((len(rows), 0), dtype=complex)
         if size:
-            highest_first = c[:, low:high + 1][:, ::-1]
+            highest_first = coeffs[rows, low:high + 1][:, ::-1]
             companion = np.zeros((len(rows), size, size), dtype=complex)
-            companion[:, 1:, :-1] = np.eye(size - 1)
+            companion.reshape(len(rows), -1)[:, size::size + 1] = 1.0  # the subdiagonal
             companion[:, 0, :] = -highest_first[:, 1:] / highest_first[:, :1]
-            roots = _eigvals(companion, rows, coeffs[:, :2 * k + 1], k)
-        if low:
-            roots = np.concatenate((roots, np.zeros((len(rows), low), dtype=complex)), axis=1)
-        order = np.lexsort((roots.imag, roots.real), axis=-1)
-        roots = roots[np.arange(len(rows))[:, None], order]
-        # Horner in np.polyval's order over C_degree ... C_0 at Z, or for |Z| > 1 over C_0 ... C_degree
-        # at 1/Z, which gives |p(Z)| / |Z|^degree: the bound divided through, so neither can overflow
-        big = np.abs(roots) > 1.0
-        x = np.divide(1.0, roots, out=roots.copy(), where=big)
-        seq = np.where(big[..., None], c[:, None, :degree + 1], c[:, None, degree::-1])
-        values = np.zeros_like(roots)
-        for col in range(degree + 1):
-            values = values * x + seq[..., col]
-        values = np.abs(values)
-        bound = ROOT_RESIDUAL_TOL * np.abs(c).max(axis=1) * (degree + 1)
-        bad = ~(values <= bound[:, None])  # a NaN residual fails too
-        if bad.any():
-            g, i = np.argwhere(bad)[0]
-            raise DecompositionError(f"root {roots[g, i]!r} of the rank-{k} polynomial has residual "
-                                     f"{values[g, i]:.3e} (bound {bound[g]:.3e})", stage="roots", index=rows[g])
-        out[rows, 2 * k - degree:2 * k] = [[_root_point(z) for z in row_roots] for row_roots in roots.tolist()]
+            zs[rows, 2 * k - degree:2 * k - degree + size] = _eigvals(companion, rows, coeffs[:, :2 * k + 1], k)
+    row, z = np.nonzero(real)[0], zs[real]
+    z = z[np.lexsort((z.imag, z.real, row))]  # each row's roots by real, then imaginary part, stable
+    # Horner as np.polyval over C_degree ... C_0 at Z, or for |Z| > 1 over C_0 ... C_degree at 1/Z, giving
+    # |p(Z)| / |Z|^degree so nothing overflows; front-padded with +0, as 0 * x + 0 stays +0 until C starts
+    steps = np.arange(int(degrees.max()) + 1)
+    low_first = steps - (steps[-1] - degrees[row, None])  # index in C_0 ... C_degree per step, < 0 on padding
+    big = np.abs(z) > 1.0
+    seq = coeffs[row[:, None], np.where(big[:, None], low_first, degrees[row, None] - low_first)]
+    seq[low_first < 0] = 0.0
+    x = np.divide(1.0, z, out=z.copy(), where=big)
+    values = np.zeros_like(z)
+    for step in steps:
+        values = values * x + seq[:, step]
+    bound = (ROOT_RESIDUAL_TOL * np.abs(coeffs).max(axis=1) * (degrees + 1))[row]
+    bad = ~(np.abs(values) <= bound)  # a NaN residual fails too
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DecompositionError(f"root {z[i]!r} of the rank-{ks[row[i]]} polynomial has residual "
+                                 f"{abs(values[i]):.3e} (bound {bound[i]:.3e})", stage="roots", index=int(row[i]))
+    # theta = 2 atan2(1, |Z|), phi = -arg Z wrapped as _wrap_azimuth does; Python's atan2 and phase for their bits
+    flat = z.tolist()
+    theta = 2.0 * np.fromiter(map(math.atan2, repeat(1.0), map(abs, flat)), float, len(flat))
+    phi = np.remainder(-np.fromiter(map(cmath.phase, flat), float, len(flat)), _TWO_PI)
+    phi[(_TWO_PI - phi < 1e-12) | (z == 0)] = 0.0
+    out = np.zeros(real.shape + (2,))  # deficiency roots sit at (0, 0)
+    out[real] = np.stack((theta, phi), axis=-1)
     return out
 
 
@@ -428,11 +427,10 @@ def _polar(vecs: np.ndarray) -> list[tuple[float, float]]:
 def _pairings(points: np.ndarray, ks: np.ndarray) -> np.ndarray:
     """Antipodal pairing of stacked root-point sets, row i holding 2 ks[i] points (theta, phi), zero-padded.
 
-    Each set is paired as :func:`pair_and_canonicalize` describes; padded
-    points get mismatch +inf and join no cluster. Returns the (theta, phi) of
-    each set's ks[i] axes, zero-padded to shape (rows, points.shape[1] // 2, 2).
-    Raises the DecompositionError of the lowest set holding a non-finite point,
-    else of the lowest set with a point that has no antipodal partner.
+    Each set is paired as :func:`pair_and_canonicalize` describes, by one stable argsort of all mismatches;
+    padded points get mismatch +inf and join no cluster. Returns the (theta, phi) of each set's ks[i] axes,
+    zero-padded to shape (rows, points.shape[1] // 2, 2). Raises the DecompositionError of the lowest set
+    holding a non-finite point, else of the lowest set with a point that has no antipodal partner.
     """
     count, n = points.shape[:2]
     real = np.arange(n) < 2 * ks[:, None]
@@ -455,18 +453,22 @@ def _pairings(points: np.ndarray, ks: np.ndarray) -> np.ndarray:
     eff_tol = np.array([max(PAIRING_TOL, 100.0 * _EPS ** (1.0 / m)) for m in cluster.tolist()])
     mismatch = np.arctan2(cross, -dots)
     mismatch[~both | np.tri(n, dtype=bool)] = np.inf  # only pairs i < j of real points
-    flat_mismatch = mismatch.reshape(count, n * n)
+    ranked = np.argsort(mismatch.reshape(count, n * n), axis=1, kind="stable")  # ties in row-major order
+    picks = []
+    for row, k in enumerate(ks.tolist()):
+        free, done = [True] * (2 * k), len(picks) + k
+        for pick in ranked[row, :k * (2 * k - 1)].tolist():  # the real pairs i < j
+            i, j = divmod(pick, n)
+            if free[i] and free[j]:
+                free[i] = free[j] = False
+                picks.append(pick)
+                if len(picks) == done:
+                    break
     every = np.arange(count)
-    best = np.empty((count, n // 2), dtype=np.intp)
-    ang = np.empty((count, n // 2))
-    for rnd in range(n // 2):
-        best[:, rnd] = pick = flat_mismatch.argmin(axis=1)
-        ang[:, rnd] = flat_mismatch[every, pick]
-        i, j = np.divmod(pick, n)
-        mismatch[every, i] = mismatch[every, j] = np.inf
-        mismatch[every, :, i] = mismatch[every, :, j] = np.inf
-    first, second = np.divmod(best, n)
     paired = np.arange(n // 2) < ks[:, None]  # rounds that matched two real points
+    first, second = np.zeros((2, count, n // 2), dtype=np.intp)
+    first[paired], second[paired] = np.divmod(picks, n)
+    ang = mismatch[every[:, None], first, second]
     too_far = (ang > eff_tol[:, None]) & paired
     if too_far.any():
         row, rnd = np.argwhere(too_far)[0]
@@ -480,7 +482,8 @@ def _pairings(points: np.ndarray, ks: np.ndarray) -> np.ndarray:
     # each row's axes sorted by (theta, phi) to 9 decimals, so fp-level theta ties still order by phi, then
     # exactly, padding last; Python's round, as np.round is not correctly rounded and could reorder near-ties
     keyed = np.zeros((count, n // 2, 4))
-    keyed[paired] = [(round(theta, 9), round(phi, 9), theta, phi) for theta, phi in _polar(_canonical_rep(mean))]
+    keyed[paired, 2:] = _polar(_canonical_rep(mean))
+    keyed[paired, :2] = np.reshape(list(map(round, keyed[paired, 2:].ravel().tolist(), repeat(9))), (-1, 2))
     order = np.lexsort((*keyed[..., ::-1].transpose(2, 0, 1), ~paired), axis=-1)
     return keyed[every[:, None], order, 2:]
 

@@ -159,6 +159,16 @@ class TestWignerD:
             got = wigner_D_matrix(HalfInt(tj), phi, theta, psi)
             assert np.max(np.abs(got - expected)) < (1e-14 if tj <= 16 else 1e-12)
 
+    def test_small_d_is_the_matrix_element_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        for tj in range(33):
+            for theta in [0.0, math.pi / 2, math.pi] + rng.uniform(0, math.pi, size=3).tolist():
+                matrix = wigner_D_matrix(HalfInt(tj), 0.0, theta, 0.0)
+                assert not matrix.imag.any()
+                proj = [HalfInt(t) for t in range(tj, -tj - 2, -2)]
+                small = np.array([[wigner_d_small(HalfInt(tj), mp, m, theta) for m in proj] for mp in proj])
+                assert small.tobytes() == matrix.real.tobytes()
+
     def test_matrix_zero_angles_is_exact_identity(self):
         for tj in range(33):
             assert np.array_equal(wigner_D_matrix(HalfInt(tj), 0.0, 0.0, 0.0), np.eye(tj + 1))

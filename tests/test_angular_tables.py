@@ -115,8 +115,9 @@ class TestTablesMatchRationalBuilders:
     def test_wigner_d_table(self, tj):
         assert_same_bits(_wigner_d_table(tj), fraction_wigner_d_table(tj))
 
-    @pytest.mark.parametrize("k1, k2, rank", [(k - 1, 1, k) for k in range(1, 13)]
-                             + [(2, 2, 0), (2, 2, 3), (3, 2, 4), (4, 3, 2), (5, 5, 5), (6, 4, 9)])
+    @pytest.mark.parametrize("k1, k2, rank", [(k - 1, 1, k) for k in range(1, 17)]
+                             + [(1, 1, 1), (2, 2, 0), (2, 2, 3), (3, 2, 4), (3, 3, 1), (4, 3, 2), (5, 5, 5),
+                                (6, 4, 9)])
     def test_couple_table(self, k1, k2, rank):
         for got, expected in zip(_couple_table(k1, k2, rank), fraction_couple_table(k1, k2, rank), strict=True):
             assert_same_bits(got, expected)

@@ -7,7 +7,8 @@ import pytest
 
 import spinaxes.axes
 from spinaxes.angular import (
-    HalfInt, angle_between, clebsch_gordan, couple, euler_rotation_cartesian, unit_vector, unit_vector_components,
+    HalfInt, _wrap_azimuth, angle_between, clebsch_gordan, couple, euler_rotation_cartesian, unit_vector,
+    unit_vector_components,
 )
 from spinaxes.axes import (
     DEFICIENCY_REL_TOL,
@@ -20,8 +21,12 @@ from spinaxes.axes import (
     MultiaxialForm,
     RankDecomposition,
     RankPolynomial,
+    _canonical_rep,
+    _eigvals,
+    _pairings,
     _polar,
-    _root_point,
+    _polynomials,
+    _root_points,
     build_polynomial,
     coupled_axes_tensor,
     decompose,
@@ -94,6 +99,11 @@ def scalar_from_cartesian(vec):
     if math.hypot(v[0], v[1]) < 1e-12:
         return Axis(0.0 if v[2] > 0.0 else math.pi, 0.0)
     return Axis(theta, math.atan2(v[1], v[0]))
+
+
+def reference_root_point(z):
+    """(theta, phi) of the root Z = cot(theta/2) exp(-i phi), one root at a time."""
+    return (2.0 * math.atan2(1.0, abs(z)), 0.0 if z == 0 else _wrap_azimuth(-cmath.phase(z)))
 
 
 class TestAngleMaps:
@@ -248,10 +258,14 @@ class TestSolveAxes:
         assert np.array(points) == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_root_azimuth_a_hair_below_zero_wraps_to_zero(self):
-        assert _root_point(complex(1, 1e-17)) == (math.pi / 2, 0.0)
+        def point(z):  # the finite root point of -z + Z, after the deficiency root at theta = 0
+            return solve_axes(RankPolynomial(k=1, coefficients=[-z, 1.0, 0.0], degree_deficiency=1))[1]
+
+        assert point(complex(1, 1e-17)) == (math.pi / 2, 0.0)
         rng = np.random.default_rng(22)
         for z in rng.normal(size=50) + 1j * rng.normal(size=50):
-            assert 0.0 <= _root_point(complex(z))[1] < 2 * math.pi
+            assert point(complex(z)) == reference_root_point(complex(z))
+            assert 0.0 <= point(complex(z))[1] < 2 * math.pi
 
     def test_antipodal_closure(self):
         rng = np.random.default_rng(21)
@@ -430,6 +444,255 @@ class TestPairingMatchesReferenceLoop:
             expected = self.assert_same(points)
             key = [(round(ax.theta, 9), round(ax.phi, 9), ax.theta, ax.phi) for ax in expected]
             assert key == sorted(key)
+
+
+# The stacked roots and pairing stages as they ran before each became one pass over all rows: the roots
+# sorted, checked and converted one (rank, degree, span) group at a time, and the pairs picked in rounds of
+# masked first row-major minima. They are the oracles for the single-pass stages.
+def reference_root_points(coeffs, deficiency, ks):
+    out = np.zeros((len(coeffs), 2 * int(ks.max()), 2))
+    groups = {}
+    for row, (k, defic, nonzero) in enumerate(zip(ks.tolist(), deficiency.tolist(), (coeffs != 0).tolist())):
+        degree = 2 * k - defic
+        span = [r for r in range(degree + 1) if nonzero[r]] or [0]
+        groups.setdefault((k, degree, span[0], span[-1]), []).append(row)
+    for (k, degree, low, high), rows in groups.items():
+        if high == 0:
+            continue
+        c = coeffs[rows, :2 * k + 1]
+        size = high - low
+        roots = np.zeros((len(rows), 0), dtype=complex)
+        if size:
+            highest_first = c[:, low:high + 1][:, ::-1]
+            companion = np.zeros((len(rows), size, size), dtype=complex)
+            companion[:, 1:, :-1] = np.eye(size - 1)
+            companion[:, 0, :] = -highest_first[:, 1:] / highest_first[:, :1]
+            roots = _eigvals(companion, rows, coeffs[:, :2 * k + 1], k)
+        if low:
+            roots = np.concatenate((roots, np.zeros((len(rows), low), dtype=complex)), axis=1)
+        order = np.lexsort((roots.imag, roots.real), axis=-1)
+        roots = roots[np.arange(len(rows))[:, None], order]
+        big = np.abs(roots) > 1.0
+        x = np.divide(1.0, roots, out=roots.copy(), where=big)
+        seq = np.where(big[..., None], c[:, None, :degree + 1], c[:, None, degree::-1])
+        values = np.zeros_like(roots)
+        for col in range(degree + 1):
+            values = values * x + seq[..., col]
+        values = np.abs(values)
+        bound = spinaxes.axes.ROOT_RESIDUAL_TOL * np.abs(c).max(axis=1) * (degree + 1)
+        bad = ~(values <= bound[:, None])
+        if bad.any():
+            g, i = np.argwhere(bad)[0]
+            raise DecompositionError(f"root {roots[g, i]!r} of the rank-{k} polynomial has residual "
+                                     f"{values[g, i]:.3e} (bound {bound[g]:.3e})", stage="roots", index=rows[g])
+        out[rows, 2 * k - degree:2 * k] = [[reference_root_point(z) for z in row_roots]
+                                           for row_roots in roots.tolist()]
+    return out
+
+
+def reference_pairings(points, ks):
+    count, n = points.shape[:2]
+    real = np.arange(n) < 2 * ks[:, None]
+    bad = real & ~np.isfinite(points).all(axis=2)
+    if bad.any():
+        row, i = np.argwhere(bad)[0]
+        raise DecompositionError(f"root point {tuple(points[row, i].tolist())} is not finite", stage="pairing",
+                                 index=int(row))
+    vecs = unit_vector(points[..., 0], points[..., 1])
+    a, b = vecs[:, :, None, :], vecs[:, None, :, :]
+    c0 = a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1]
+    c1 = a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2]
+    c2 = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+    cross = np.sqrt(c0 * c0 + c1 * c1 + c2 * c2)
+    dots = vecs @ vecs.transpose(0, 2, 1)
+    both = real[:, :, None] & real[:, None, :]
+    cluster = ((np.arctan2(cross, dots) < 1e-3) & both).sum(axis=2).max(axis=1)
+    eps = float(np.finfo(float).eps)
+    eff_tol = np.array([max(PAIRING_TOL, 100.0 * eps ** (1.0 / m)) for m in cluster.tolist()])
+    mismatch = np.arctan2(cross, -dots)
+    mismatch[~both | np.tri(n, dtype=bool)] = np.inf
+    flat_mismatch = mismatch.reshape(count, n * n)
+    every = np.arange(count)
+    best = np.empty((count, n // 2), dtype=np.intp)
+    ang = np.empty((count, n // 2))
+    for rnd in range(n // 2):
+        best[:, rnd] = pick = flat_mismatch.argmin(axis=1)
+        ang[:, rnd] = flat_mismatch[every, pick]
+        i, j = np.divmod(pick, n)
+        mismatch[every, i] = mismatch[every, j] = np.inf
+        mismatch[every, :, i] = mismatch[every, :, j] = np.inf
+    first, second = np.divmod(best, n)
+    paired = np.arange(n // 2) < ks[:, None]
+    too_far = (ang > eff_tol[:, None]) & paired
+    if too_far.any():
+        row, rnd = np.argwhere(too_far)[0]
+        raise DecompositionError(f"root point {tuple(points[row, first[row, rnd]].tolist())} has no antipodal "
+                                 f"partner (best mismatch {ang[row, rnd]:.3e} rad > {eff_tol[row]:.3e}); "
+                                 "the input tensor likely violates conjugation symmetry", stage="pairing",
+                                 index=int(row))
+    mean = (vecs[every[:, None], first] - vecs[every[:, None], second])[paired]
+    mean /= np.sqrt(mean[:, None, :] @ mean[:, :, None])[:, 0]
+    keyed = np.zeros((count, n // 2, 4))
+    keyed[paired] = [(round(theta, 9), round(phi, 9), theta, phi) for theta, phi in _polar(_canonical_rep(mean))]
+    order = np.lexsort((*keyed[..., ::-1].transpose(2, 0, 1), ~paired), axis=-1)
+    return keyed[every[:, None], order, 2:]
+
+
+def stage_outcome(stage, *stack):
+    """The bytes a stage returns for a stack of rows, or (message, stage, index) of what it raises."""
+    try:
+        return stage(*stack).tobytes()
+    except DecompositionError as exc:
+        return (str(exc), exc.stage, exc.index)
+
+
+def lowest_row_outcome(stage, *stack):
+    """What a stage gives the whole stack when it succeeds; else what it raises for the lowest row failing alone."""
+    try:
+        return stage(*stack).tobytes()
+    except DecompositionError:
+        pass
+    for row in range(len(stack[0])):
+        failure = stage_outcome(stage, *(part[row:row + 1] for part in stack))
+        if isinstance(failure, tuple):
+            return failure[:2] + (row,)
+    raise AssertionError("the stack failed, but no row fails alone")
+
+
+def rank_rows(ts):
+    """(coefficients, deficiency, ks) of the present (item, rank) rows of tensors of one j, in decompose order."""
+    tj = ts[0].j.twice
+    ks, cols = np.arange(1, tj + 1), np.arange(2 * tj + 1)
+    stack = np.array([t.array for t in ts])
+    rows = np.where(cols <= 2 * ks[:, None], stack[:, ks[:, None] ** 2 + cols], 0).reshape(-1, 2 * tj + 1)
+    ks = np.tile(ks, len(ts))
+    coeffs, deficiency, present = _polynomials(rows, ks)
+    return coeffs[present], deficiency[present], ks[present]
+
+
+def seeded_stage_stacks():
+    """Rank rows of random and degenerate states at 2j = 1 ... 16, each with a rotated copy."""
+    rng = np.random.default_rng(51)
+    for tj in range(1, 17):
+        ts = [random_tensor_components(HalfInt(tj), rng)]
+        for cols in (1, tj + 1):  # a pure and a Ginibre mixed state
+            vec = rng.normal(size=(tj + 1, cols)) + 1j * rng.normal(size=(tj + 1, cols))
+            mat = vec @ vec.conj().T
+            ts.append(to_tensor(DensityMatrix(mat / mat.trace().real)))
+        ghz = np.zeros(tj + 1)
+        ghz[[0, tj]] = math.sqrt(0.5)
+        dicke = np.zeros(tj + 1)
+        dicke[tj // 2] = 1.0
+        ts += [to_tensor(DensityMatrix(np.outer(vec, vec))) for vec in (ghz, dicke)]
+        ts.append(to_tensor(symmetrize_pure([Spinor(0.7, 2.3)] * tj)))  # coherent
+        phi, psi = rng.uniform(0, 2 * math.pi, size=2)
+        theta = math.acos(rng.uniform(-1, 1))
+        yield rank_rows(ts + [rotate_tensor(t, phi, theta, psi) for t in ts])
+
+
+class TestSinglePassStagesMatchReference:
+    def assert_same_stages(self, coeffs, deficiency, ks):
+        """Both stages give the bytes, or the error of the lowest failing row, that the references give."""
+        roots = lowest_row_outcome(_root_points, coeffs, deficiency, ks)
+        assert stage_outcome(_root_points, coeffs, deficiency, ks) == roots
+        assert roots == lowest_row_outcome(reference_root_points, coeffs, deficiency, ks)
+        if isinstance(roots, tuple):
+            return roots
+        points = _root_points(coeffs, deficiency, ks)
+        pairs = stage_outcome(_pairings, points, ks)
+        assert pairs == stage_outcome(reference_pairings, points, ks)
+        return pairs
+
+    def test_seeded_states_rotated_and_degenerate(self):
+        raised = []
+        for stack in seeded_stage_stacks():
+            outcome = self.assert_same_stages(*stack)
+            if isinstance(outcome, tuple):
+                raised.append(outcome[1])
+        assert raised and set(raised) == {"pairing"}  # rotated coherent and Dicke states fail to pair
+
+    def test_lowest_row_missing_the_residual_bound_raises(self, monkeypatch):
+        # with the bound tightened, some rows of each stack miss it, and the lowest one raises, not the
+        # first failing row of the first group that has one
+        stacks = list(seeded_stage_stacks())[5::5]
+        for tol in (2e-16, 8e-16):
+            monkeypatch.setattr(spinaxes.axes, "ROOT_RESIDUAL_TOL", tol)
+            stages = [self.assert_same_stages(*stack)[1] for stack in stacks]
+            assert stages == ["roots"] * len(stacks)
+
+    def test_roots_at_zero_and_at_infinity(self):
+        rng = np.random.default_rng(52)
+        rows, ks = [], []
+        for k in range(1, 7):
+            for low in range(3):
+                for top in range(3):
+                    if low + top >= 2 * k:
+                        continue
+                    row = np.zeros(2 * 6 + 1, dtype=complex)
+                    row[:2 * k + 1] = rng.normal(size=2 * k + 1) + 1j * rng.normal(size=2 * k + 1)
+                    row[:top] = 1e-14 * (top % 2) * row[:top]  # t[k, k ...]: roots at infinity, zero or tiny
+                    row[2 * k + 1 - low:2 * k + 1] = 0.0  # t[k, ... -k]: exact roots at Z = 0
+                    rows.append(row)
+                    ks.append(k)
+        coeffs, deficiency, present = _polynomials(np.array(rows), np.array(ks))
+        assert present.all() and deficiency.any() and (coeffs[:, 0] == 0).any()
+        for order in (slice(None), slice(None, None, -1)):
+            self.assert_same_stages(coeffs[order], deficiency[order], np.array(ks)[order])  # unpaired sets raise
+        # conjugation-symmetric rows pair: a state with t[k, +-k] = 0 has roots at 0 and at infinity alike
+        t = random_tensor_components(HalfInt(6), rng).array.copy()
+        t[[k * k for k in range(1, 7)] + [k * k + 2 * k for k in range(1, 7)]] = 0.0
+        assert isinstance(self.assert_same_stages(*rank_rows([TensorComponents(HalfInt(6), t)])), bytes)
+
+    def test_constant_polynomial_points_sit_at_the_pole(self):
+        # C_0 alone, although the deficiency claims degree 2: both points at (0, 0), as a rank with no finite root
+        coeffs = np.array([[1.0 + 0j, 0.0, 0.0], [0.5, 1.0, 2.0]])
+        for deficiency in ([0, 0], [1, 0]):
+            self.assert_same_stages(coeffs, np.array(deficiency), np.array([1, 1]))
+        assert solve_axes(RankPolynomial(k=1, coefficients=[1.0, 0.0, 0.0], degree_deficiency=0)) == [(0.0, 0.0)] * 2
+
+    def test_exact_ties_and_unpaired_sets_in_one_stack(self):
+        eps = 1e-7
+        tie = [(0.0, 0.0), (eps, math.pi / 2), (math.pi - eps, 0.0), (math.pi - eps, math.pi)]
+        pair = [(0.9, 0.4), (math.pi - 0.9, 0.4 + math.pi)]
+        unpaired = [(0.3, 0.0), (0.4, 1.0)]
+        a, b = Axis(0.6, 1.2), Axis(2.1, 4.0)
+        triple = [pt for ax in (a, a, b) for pt in ((ax.theta, ax.phi), (math.pi - ax.theta, ax.phi + math.pi))]
+        for sets in ([tie, pair, triple], [pair, tie + pair, unpaired, tie], [triple, unpaired + pair, unpaired]):
+            ks = np.array([len(pts) // 2 for pts in sets])
+            points = np.zeros((len(sets), 2 * ks.max(), 2))
+            for row, pts in enumerate(sets):
+                points[row, :len(pts)] = pts
+            assert stage_outcome(_pairings, points, ks) == stage_outcome(reference_pairings, points, ks)
+        axes = _pairings(np.array([tie]), np.array([2]))[0]  # pairs (0, 2) and (1, 3), scan order on the tie
+        assert axes[:, 1] == pytest.approx([math.pi, math.pi / 4], abs=1e-6)
+
+    def test_earlier_row_failing_at_pairing_wins_over_a_later_roots_failure(self, monkeypatch):
+        coherent = to_tensor(symmetrize_pure([Spinor(0.7, 2.3)] * 6))  # fails to pair at rank 6
+        t = random_tensor_components(HalfInt(6), np.random.default_rng(53))
+        c = np.sqrt([math.comb(12, r) for r in range(13)]) * t.rank_array(6)[::-1]
+        marked = -c[11] / c[12]  # top-left entry of its rank-6 companion matrix
+        real = np.linalg.eigvals
+
+        def eigvals(matrices):  # the roots of t's rank-6 polynomial come back a little off
+            values = real(matrices)
+            return values + 1e-3 * (np.abs(matrices[..., 0, 0] - marked) < 1e-12)[:, None]
+
+        monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+        with pytest.raises(DecompositionError) as pairing:
+            decompose(coherent)
+        with pytest.raises(DecompositionError) as roots:
+            decompose(t)
+        assert (pairing.value.rank, pairing.value.stage, roots.value.rank, roots.value.stage) == (6, "pairing",
+                                                                                                  6, "roots")
+        expected = lowest_row_outcome(reference_root_points, *rank_rows([t]))
+        assert str(roots.value) == f"rank 6: {expected[0]}"
+        for stack, index, alone in (([coherent, t], 0, pairing), ([t, coherent], 0, roots),
+                                    ([t, t, coherent, t], 0, roots), ([TensorComponents(HalfInt(6)), coherent, t],
+                                                                      1, pairing)):
+            with pytest.raises(DecompositionError) as info:
+                decompose_many(stack)
+            assert (str(info.value), info.value.stage, info.value.rank, info.value.index) == (
+                str(alone.value), alone.value.stage, alone.value.rank, index)
 
 
 class TestScalarR:
@@ -679,7 +942,7 @@ def reference_decompose(t, residual_tol=RESIDUAL_TOL, pairing_tol=PAIRING_TOL):
                         f"root {roots[i]!r} of the rank-{k} polynomial has residual {values[i]:.3e} "
                         f"(bound {bounds[i]:.3e})"
                     )
-                pts.extend(_root_point(complex(z)) for z in roots)
+                pts.extend(reference_root_point(complex(z)) for z in roots)
             vecs = np.array([scalar_unit_vector(theta, phi) for theta, phi in pts]).reshape(-1, 3)
             cross = np.linalg.norm(np.cross(vecs[:, None, :], vecs[None, :, :]), axis=-1)
             dots = vecs @ vecs.T
