@@ -8,9 +8,10 @@ ulp for the quantum numbers used here (j up to ~10, far past the cancellation
 that ruins float factorials). The tensor operators tau[k,q], normalized to
 ``Tr(tau[k,q]^dag tau[k',q']) = (2j+1) delta_kk' delta_qq'``, are built once per
 j from the coefficients that the CG symmetries do not give, the rest filled in
-by sign, as are the coupling tables. The D matrix, and each d element, contract
-a cached table of Wigner-sum coefficients over the monomials cos(theta/2)^(2j-n)
-sin(theta/2)^n with the monomial vector (and two phase vectors). Spherical
+by sign, as are the coupling tables. The D matrix, and each d and D element,
+contract a cached table of Wigner-sum coefficients over the monomials
+cos(theta/2)^(2j-n) sin(theta/2)^n with the monomial vector (D with two phase
+vectors, computed alike for a matrix and an element). Spherical
 components of unit vectors and the coupling of spherical tensors complete it.
 
 Conventions
@@ -32,7 +33,6 @@ Conventions
   ``t'[q] = sum_q' D[k][q',q] t[q']`` (sum over the first index).
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -186,15 +186,14 @@ def wigner_d_small(j, mp, m, theta: float) -> float:
 
 
 def wigner_D(k, qp, q, phi: float, theta: float, psi: float) -> complex:
-    """Wigner rotation matrix element D^k_{q',q}(phi, theta, psi).
+    """Wigner rotation matrix element D^k_{q',q}(phi, theta, psi), its :func:`wigner_D_matrix` element.
 
-    z-y-z convention: exp(-i q' phi) d^k_{q',q}(theta) exp(-i q psi).
+    z-y-z convention: exp(-i q' phi) d^k_{q',q}(theta) exp(-i q psi), with the
+    phases computed and multiplied as the matrix does.
     Accepts half-integer ranks so the same routine serves spin-j rotations.
     """
     d = wigner_d_small(k, qp, q, theta)
-    return cmath.exp(-1j * float(HalfInt.coerce(qp)) * phi) * d * cmath.exp(
-        -1j * float(HalfInt.coerce(q)) * psi
-    )
+    return complex((_phases(np.array([_twice(qp) / 2.0]), phi) * d * _phases(np.array([_twice(q) / 2.0]), psi))[0])
 
 
 @lru_cache(maxsize=None)
@@ -230,6 +229,11 @@ def _monomials(tj: int, theta: float) -> np.ndarray:
     return math.cos(theta / 2.0) ** powers[::-1] * math.sin(theta / 2.0) ** powers
 
 
+def _phases(m: np.ndarray, angle: float) -> np.ndarray:
+    """exp(-i m angle) for each projection m."""
+    return np.exp(-1j * m * angle)
+
+
 def wigner_D_matrix(j, phi: float, theta: float, psi: float) -> np.ndarray:
     """Full (2j+1) x (2j+1) Wigner D matrix, rows/columns ordered m = +j ... -j."""
     tj = _twice(j)
@@ -241,7 +245,7 @@ def wigner_D_matrix(j, phi: float, theta: float, psi: float) -> np.ndarray:
     # twice as much there
     d = np.einsum("en,n->e", _wigner_d_table(tj), _monomials(tj, theta)).reshape(dim, dim)
     m = np.arange(tj, -tj - 2, -2) / 2.0
-    return np.exp(-1j * m * phi)[:, None] * d * np.exp(-1j * m * psi)[None, :]
+    return _phases(m, phi)[:, None] * d * _phases(m, psi)[None, :]
 
 
 def tensor_index(k: int, q: int) -> int:

@@ -15,13 +15,12 @@ the nested stretched coupling of the k axes:
 
 A spin-j state thus maps to j(2j+1) axes plus 2j non-negative scalars.
 
-Every stage works on all (item, rank) rows of a stack of same-j tensors in
-one pass (:func:`decompose_many`); the single-item functions build_polynomial,
-solve_axes, pair_and_canonicalize, scalar_r and decompose run the same
-stacked code on a stack of one. Between stages, root points and axes travel
-as zero-padded (theta, phi) arrays, one row per (item, rank); :class:`Axis`
-objects are built only when a decomposition is returned, and functions given
-Axis objects read their angles into one array per call.
+Every stage works on all (item, rank) rows of an (N, (2j+1)^2) component
+stack in one pass, and the core returns arrays (:func:`_decompose_stack`);
+the single-item functions run the same code on a stack of one. Root points
+and axes travel as zero-padded (theta, phi) arrays, one row per (item, rank).
+Only :func:`decompose_many` builds Axis, RankDecomposition and MultiaxialForm
+objects, and functions given Axis objects read their angles into one array.
 """
 
 import cmath
@@ -77,7 +76,7 @@ class Axis:
 
     @classmethod
     def from_cartesian(cls, vec) -> "Axis":
-        return cls(*_polar(np.asarray(vec, dtype=float).reshape(1, 3))[0])
+        return cls(*_polar(np.asarray(vec, dtype=float).reshape(1, 3))[0].tolist())
 
     @property
     def cartesian(self) -> np.ndarray:
@@ -112,6 +111,9 @@ class RankPolynomial:
             raise DomainError(f"rank-{self.k} polynomial needs {2 * self.k + 1} coefficients")
         if not np.isfinite(arr).all():
             raise ValidationError(f"rank-{self.k} polynomial has non-finite coefficients {arr!r}")
+        count = int(_deficiencies(arr[None], np.array([self.k]))[0])
+        if self.degree_deficiency != count:
+            raise DomainError(f"coefficients {arr!r} have degree deficiency {count}, not {self.degree_deficiency}")
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "coefficients", arr)
@@ -222,7 +224,8 @@ def scalar_r(t: TensorComponents, k: int, axes) -> tuple[float, bool, float]:
     axes = list(axes)
     if len(axes) != k:
         raise DomainError(f"rank {k} needs exactly {k} axes, got {len(axes)}")
-    return _scales(t.rank_array(k)[None], *_angle_rows([axes]))[0]
+    r, flipped, residual = _scales(t.rank_array(k)[None], *_angle_rows([axes]))
+    return float(r[0]), bool(flipped[0]), float(residual[0])
 
 
 def decompose(t: TensorComponents) -> MultiaxialForm:
@@ -251,9 +254,22 @@ def decompose_many(ts) -> list[MultiaxialForm]:
     for t in ts:
         if t.j != j:
             raise DomainError(f"decompose_many needs tensors of one j, got j={j} and j={t.j}")
-    tj, ks, cols = j.twice, np.arange(1, j.twice + 1), np.arange(2 * j.twice + 1)
-    stack = np.array([t.array for t in ts])
-    error, count = None, len(ts)
+    forms = []
+    for item in zip(*(array.tolist() for array in _decompose_stack(np.array([t.array for t in ts]), j.twice))):
+        ranks = {k: RankDecomposition(tuple(Axis(theta, phi) for theta, phi in pairs[:k]), r, flipped, residual)
+                 if present else None for k, (present, pairs, r, flipped, residual) in enumerate(zip(*item), start=1)}
+        forms.append(MultiaxialForm(j=j, ranks=ranks))
+    return forms
+
+
+def _decompose_stack(stack: np.ndarray, tj: int) -> tuple:
+    """Arrays (present, angles, r, flipped, residual) of an (N, (2j+1)^2) component stack; raises as decompose_many.
+
+    Entry [i, k - 1] of each is rank k of item i: present or not, the (theta, phi) of its k axes (zero-padded
+    to 2j, as :class:`Axis` stores them), r_k, flipped, residual; every one 0 where the rank is absent.
+    """
+    ks, cols, count = np.arange(1, tj + 1), np.arange(2 * tj + 1), len(stack)
+    error = None
     try:
         _check_tensor_stack(stack, tj, INPUT_TOL)
     except ValidationError as exc:
@@ -264,44 +280,50 @@ def decompose_many(ts) -> list[MultiaxialForm]:
     live = len(rows)  # only the rows before the lowest failing row so far stay in play
     while True:  # rows are independent: without the failed suffix, the rest solve as they would alone
         try:
-            decs = _ranks(rows[:live], ks[:live])
+            arrays = _ranks(rows[:live], ks[:live])
             break
         except DecompositionError as exc:
             error, live = exc, exc.index
             error.index = live // tj
     if error is not None:
         raise error
-    return [MultiaxialForm(j=j, ranks=dict(zip(range(1, tj + 1), decs[i * tj:(i + 1) * tj]))) for i in range(count)]
+    return tuple(array.reshape((count, tj) + array.shape[1:]) for array in arrays)
 
 
-def _ranks(rows: np.ndarray, ks: np.ndarray) -> list:
-    """Decomposition of each row t[k, +k ... -k] (k = ks[i], zero-padded), ``None`` where the rank is absent.
+def _ranks(rows: np.ndarray, ks: np.ndarray) -> tuple:
+    """:func:`_decompose_stack`'s arrays for rows t[k, +k ... -k] (k = ks[i], zero-padded), one row each.
 
     Runs polynomial, roots, pairing, scale and residual check, each once over
     all rows. The first stage at which some row fails raises a "rank k: ..."
     DecompositionError from that stage's error, with ``index`` set to its row.
     """
     coeffs, deficiency, present = _polynomials(rows, ks)
+    angles = np.zeros((len(rows), rows.shape[1] // 2, 2))
+    r, flipped, residual = np.zeros(len(rows)), np.zeros(len(rows), dtype=bool), np.zeros(len(rows))
     items = np.flatnonzero(present)
-    decs = [None] * len(rows)
     if not items.size:
-        return decs
+        return present, angles, r, flipped, residual
     ks = ks[items]
     try:
-        angles = _pairings(_root_points(coeffs[items], deficiency[items], ks), ks)
-        scales = _scales(rows[items], angles, ks)
-        for row, (_, _, residual) in enumerate(scales):
-            if residual > RESIDUAL_TOL:
-                raise DecompositionError(f"reconstruction residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e}",
-                                         stage="residual", index=row)
+        pairs = _pairings(_root_points(coeffs[items], deficiency[items], ks), ks)
+        r[items], flipped[items], residual[items] = _scales(rows[items], pairs, ks)
+        bad = residual[items] > RESIDUAL_TOL
+        if bad.any():
+            row = int(np.argmax(bad))
+            raise DecompositionError(f"reconstruction residual {residual[items[row]]:.3e} exceeds {RESIDUAL_TOL:.1e}",
+                                     stage="residual", index=row)
     except DecompositionError as exc:
         k = int(ks[exc.index])
         raise DecompositionError(f"rank {k}: {exc}", rank=k, stage=exc.stage, index=int(items[exc.index])) from exc
-    for item, k, pairs, (r, flipped, residual) in zip(items.tolist(), ks.tolist(), angles.tolist(), scales):
-        if flipped:  # the last axis becomes its antipode, as Axis.antipode makes it
-            pairs[k - 1] = (math.pi - pairs[k - 1][0], pairs[k - 1][1] + math.pi)
-        decs[item] = RankDecomposition(tuple(Axis(theta, phi) for theta, phi in pairs[:k]), r, flipped, residual)
-    return decs
+    theta, phi = pairs[..., 0], pairs[..., 1]
+    flips = np.flatnonzero(flipped[items])
+    last = ks[flips] - 1  # the last axis of a flipped row becomes its antipode, as Axis.antipode makes it
+    theta[flips, last] = math.pi - theta[flips, last]
+    phi[flips, last] += math.pi
+    # Axis's clamp of theta and wrap of phi
+    angles[items, :pairs.shape[1], 0] = np.minimum(np.maximum(theta, 0.0), math.pi)
+    angles[items, :pairs.shape[1], 1] = _wrap(phi)
+    return present, angles, r, flipped, residual
 
 
 @lru_cache(maxsize=None)
@@ -324,9 +346,14 @@ def _polynomials(rows: np.ndarray, ks: np.ndarray):
     # C_r = sqrt(binom(2k, r)) t[k, r-k]; past r = 2k the weight is 0 and the index wraps onto padding
     weights = _binomial_weights(width)[ks]
     coeffs = weights * rows[np.arange(len(rows))[:, None], (2 * ks[:, None] - np.arange(width)) % width]
+    return coeffs, _deficiencies(coeffs, ks), present
+
+
+def _deficiencies(coeffs: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """Degree deficiency of each row of zero-padded C_0 ... C_2k: the leading coefficients below tol * max."""
     mags = np.abs(coeffs)
     big = mags > DEFICIENCY_REL_TOL * mags.max(axis=1, keepdims=True)
-    return coeffs, 2 * ks - (width - 1 - np.argmax(big[:, ::-1], axis=1)), present
+    return 2 * ks - (coeffs.shape[1] - 1 - np.argmax(big[:, ::-1], axis=1))
 
 
 def _root_points(coeffs: np.ndarray, deficiency: np.ndarray, ks: np.ndarray) -> np.ndarray:
@@ -377,8 +404,8 @@ def _root_points(coeffs: np.ndarray, deficiency: np.ndarray, ks: np.ndarray) -> 
     # theta = 2 atan2(1, |Z|), phi = -arg Z wrapped as _wrap_azimuth does; Python's atan2 and phase for their bits
     flat = z.tolist()
     theta = 2.0 * np.fromiter(map(math.atan2, repeat(1.0), map(abs, flat)), float, len(flat))
-    phi = np.remainder(-np.fromiter(map(cmath.phase, flat), float, len(flat)), _TWO_PI)
-    phi[(_TWO_PI - phi < 1e-12) | (z == 0)] = 0.0
+    phi = _wrap(-np.fromiter(map(cmath.phase, flat), float, len(flat)))
+    phi[z == 0] = 0.0
     out = np.zeros(real.shape + (2,))  # deficiency roots sit at (0, 0)
     out[real] = np.stack((theta, phi), axis=-1)
     return out
@@ -411,17 +438,31 @@ def _canonical_rep(u: np.ndarray) -> np.ndarray:
     return np.where(first[:, None] < 0.0, -u, u)
 
 
-def _polar(vecs: np.ndarray) -> list[tuple[float, float]]:
+def _wrap(phi: np.ndarray) -> np.ndarray:
+    """Finite azimuths wrapped as _wrap_azimuth wraps them: into [0, 2 pi), a hair below 2 pi mapping to 0."""
+    phi = np.remainder(phi, _TWO_PI)
+    phi[_TWO_PI - phi < 1e-12] = 0.0
+    return phi
+
+
+def _polar(vecs: np.ndarray) -> np.ndarray:
     """(theta, phi) of each row of stacked 3-vectors as :class:`Axis` holds it, the inverse of unit_vector.
 
-    At the poles the azimuth is noise and is set to 0. A zero vector raises DomainError.
+    At the poles the azimuth is noise and is set to 0. A zero vector raises DomainError. Python's acos, atan2
+    and hypot give the bits: numpy's arccos and arctan2 do not always match them.
     """
     norms = np.sqrt(vecs[:, None, :] @ vecs[:, :, None])[:, 0]  # np.linalg.norm's dot product
     if (norms < 1e-300).any():
         raise DomainError("cannot build an axis from the zero vector")
-    return [(0.0 if z > 0.0 else math.pi, 0.0) if math.hypot(x, y) < 1e-12
-            else (math.acos(min(1.0, max(-1.0, z))), _wrap_azimuth(math.atan2(y, x)))
-            for x, y, z in (vecs / norms).tolist()]
+    unit = vecs / norms
+    x, y, z = unit.T.tolist()
+    polar = np.empty((len(vecs), 2))
+    polar[:, 0] = list(map(math.acos, map(min, repeat(1.0), map(max, repeat(-1.0), z))))
+    polar[:, 1] = _wrap(np.fromiter(map(math.atan2, y, x), float, len(vecs)))
+    pole = np.fromiter(map(math.hypot, x, y), float, len(vecs)) < 1e-12
+    polar[pole, 0] = np.where(unit[pole, 2] > 0.0, 0.0, math.pi)
+    polar[pole, 1] = 0.0
+    return polar
 
 
 def _pairings(points: np.ndarray, ks: np.ndarray) -> np.ndarray:
@@ -479,11 +520,13 @@ def _pairings(points: np.ndarray, ks: np.ndarray) -> np.ndarray:
     # the pair difference averages out opposite-signed root noise
     mean = (vecs[every[:, None], first] - vecs[every[:, None], second])[paired]
     mean /= np.sqrt(mean[:, None, :] @ mean[:, :, None])[:, 0]  # np.linalg.norm's dot product
-    # each row's axes sorted by (theta, phi) to 9 decimals, so fp-level theta ties still order by phi, then
-    # exactly, padding last; Python's round, as np.round is not correctly rounded and could reorder near-ties
+    # each row's axes sorted by (theta, phi) to 9 decimals (keys left 0 in a row of one axis), so fp-level
+    # theta ties still order by phi, then exactly, padding last; Python's round, as np.round is not correctly
+    # rounded and could reorder near-ties
     keyed = np.zeros((count, n // 2, 4))
     keyed[paired, 2:] = _polar(_canonical_rep(mean))
-    keyed[paired, :2] = np.reshape(list(map(round, keyed[paired, 2:].ravel().tolist(), repeat(9))), (-1, 2))
+    several = paired & (ks[:, None] > 1)
+    keyed[several, :2] = np.reshape(list(map(round, keyed[several, 2:].ravel().tolist(), repeat(9))), (-1, 2))
     order = np.lexsort((*keyed[..., ::-1].transpose(2, 0, 1), ~paired), axis=-1)
     return keyed[every[:, None], order, 2:]
 
@@ -518,8 +561,8 @@ def _coupled(angles: np.ndarray, ks: np.ndarray) -> np.ndarray:
     return out
 
 
-def _scales(targets: np.ndarray, angles: np.ndarray, ks: np.ndarray) -> list:
-    """(r, flipped, residual) of stacked components against their axes, as :func:`scalar_r`.
+def _scales(targets: np.ndarray, angles: np.ndarray, ks: np.ndarray) -> tuple:
+    """Arrays r, flipped and residual of stacked components against their axes, as :func:`scalar_r`.
 
     Row i of ``targets`` holds t[k, +k ... -k] for k = ks[i], and row i of
     ``angles`` the (theta, phi) of its k axes, both zero-padded. Raises the
@@ -540,7 +583,7 @@ def _scales(targets: np.ndarray, angles: np.ndarray, ks: np.ndarray) -> list:
     r = np.where(flipped, -r, r)
     prod = np.where(flipped[:, None], -prod, prod)
     residual = np.max(np.abs(targets - r[:, None] * prod), axis=1)
-    return list(zip(r.tolist(), flipped.tolist(), residual.tolist()))
+    return r, flipped, residual
 
 
 def reconstruct_tensor(form: MultiaxialForm) -> TensorComponents:

@@ -32,11 +32,9 @@ from .angular import (
     HalfInt, _tensor_operator_cached, angle_between, clebsch_gordan, tensor_index, unit_vector,
     wigner_D_matrix,
 )
-from .axes import (
-    EMPTY_RANK_TOL, build_polynomial, decompose, decompose_many, pair_and_canonicalize, solve_axes,
-)
+from .axes import EMPTY_RANK_TOL, _decompose_stack, build_polynomial, decompose, pair_and_canonicalize, solve_axes
 from .errors import DecompositionError, DomainError, StateFileError, ValidationError
-from .invariants import _invariant_stack, enumerate_invariants, invariant_count, spin1_named, verify_invariance
+from .invariants import _spin1_stack, enumerate_invariants, invariant_count, verify_invariance
 from .states import ChannelParams, _channel_stack, _ppt_stack, channel_mixed, pure_two_spinor, random_density_matrix
 from .tensors import DensityMatrix, _density_stack, _tensor_stack, random_tensor_components, to_tensor
 
@@ -293,16 +291,14 @@ def cmd_sweep(args) -> int:
     cells = [(float(p), float(theta)) for p in p_values for theta in theta_values]
     mats = _channel_stack([ChannelParams.equal(p, 2.0 * theta) for p, theta in cells])
     try:
-        forms = decompose_many(_tensor_stack(*_density_stack(mats, HalfInt(2))))
+        present, angles, r, _, _ = _decompose_stack(_tensor_stack(*_density_stack(mats, HalfInt(2))), 2)
     except (DecompositionError, ValidationError) as exc:
         p, theta = cells[exc.index]
         print(f"error: decomposition failed during sweep at p={_fmt(p)}, theta={_fmt(theta)}: {exc}",
               file=sys.stderr)
         return EXIT_NUMERIC
     lines = [CSV_COLUMNS]
-    for (p, theta), inv, ppt in zip(cells, _invariant_stack(forms), _ppt_stack(mats)):
-        named = spin1_named(inv)
-        values = [0.0 if named[key] is None else named[key] for key in ("I1", "I2", "I3", "I4", "I5")]
+    for (p, theta), values, ppt in zip(cells, _spin1_stack(present, angles, r).tolist(), _ppt_stack(mats)):
         lines.append(",".join(
             [_fmt(p), _fmt(theta)]
             + [_fmt(v) for v in values]

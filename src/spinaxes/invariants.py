@@ -82,39 +82,41 @@ def enumerate_invariants(form: MultiaxialForm) -> InvariantSet:
     Pairs span all ranks, intra-rank included. Axes of absent ranks contribute
     nothing, so the count reflects the axes actually present.
     """
-    return _invariant_stack([form])[0]
+    ranks = form.present_ranks
+    labels = tuple((k, i) for k in ranks for i in range(k))  # rank k has k axes
+    values, abs_cos = _invariant_stack(np.reshape([(ax.theta, ax.phi) for k in ranks for ax in form.ranks[k].axes],
+                                                  (1, len(labels), 2)))
+    return InvariantSet(j=form.j, scalars=form.scalars, values=values[0], abs_cosines=abs_cos[0],
+                        axis_labels=labels, count=len(ranks) + values.shape[1])
 
 
-def _invariant_stack(forms) -> list[InvariantSet]:
-    """:func:`enumerate_invariants` of each form, one pass per group of forms with the same present ranks."""
-    groups = {}
-    for at, form in enumerate(forms):
-        groups.setdefault(form.present_ranks, []).append(at)
-    out = [None] * len(forms)
-    for ranks, members in groups.items():
-        labels = tuple((k, i) for k in ranks for i in range(k))  # rank k has k axes
-        m, n = len(members), len(labels)
-        # all angles in one flat run: each elementwise pass is one 1-d loop, as it is for a single form
-        axes = [ax for at in members for k in ranks for ax in forms[at].ranks[k].axes]
-        theta, phi = np.array([(ax.theta, ax.phi) for ax in axes]).reshape(m * n, 2).T
-        comps = unit_vector_components(theta, phi).reshape(m, n, 3)
-        coupled = np.zeros((m, n, n), dtype=complex)
-        # couple(a, b, 0)[0] for every pair, summed in couple's order: sum_q C(1 1 0; q -q 0) a_q b_-q
-        weighted = comps * _CG_SCALAR
-        for i in range(3):
-            coupled += weighted[..., i, None] * comps[:, None, :, 2 - i]
-        rows, cols = _pairs(n)
-        values = coupled.real[:, rows, cols]
-        vecs = unit_vector(theta, phi).reshape(m, n, 3)
-        abs_cos = np.abs(vecs @ vecs.transpose(0, 2, 1))
-        abs_cos.reshape(m, n * n)[:, ::n + 1] = 1.0  # the diagonals
-        values.setflags(write=False)  # each set holds read-only views of its rows
-        abs_cos.setflags(write=False)
-        for at, row, cosines in zip(members, values, abs_cos):
-            scalars = forms[at].scalars
-            out[at] = InvariantSet(j=forms[at].j, scalars=scalars, values=row, abs_cosines=cosines,
-                                   axis_labels=labels, count=len(scalars) + len(rows))
-    return out
+def _invariant_stack(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only pairwise invariants of an (m, n, 2) stack of axis angles (theta, phi), n axes per item.
+
+    Returns the signed (Qa x Qb)^0_0 over the pairs a < b, shape (m, n(n-1)/2),
+    and |Qa . Qb|, shape (m, n, n) with diagonal 1, in one pass over the stack.
+    """
+    m, n = angles.shape[:2]
+    # all angles in one flat run: each elementwise pass is one 1-d loop, as it is for a single form
+    theta, phi = angles.reshape(m * n, 2).T
+    comps = unit_vector_components(theta, phi).reshape(m, n, 3)
+    coupled = np.zeros((m, n, n), dtype=complex)
+    # couple(a, b, 0)[0] for every pair, summed in couple's order: sum_q C(1 1 0; q -q 0) a_q b_-q
+    weighted = comps * _CG_SCALAR
+    for i in range(3):
+        coupled += weighted[..., i, None] * comps[:, None, :, 2 - i]
+    rows, cols = _pairs(n)
+    values = coupled.real[:, rows, cols]
+    vecs = unit_vector(theta, phi).reshape(m, n, 3)
+    abs_cos = np.abs(vecs @ vecs.transpose(0, 2, 1))
+    abs_cos.reshape(m, n * n)[:, ::n + 1] = 1.0  # the diagonals
+    values.setflags(write=False)
+    abs_cos.setflags(write=False)
+    return values, abs_cos
+
+
+# the axes (k, i), the i-th of rank k, whose pairs give I3, I4 and I5 in combinations order
+_SPIN1_AXES = ((1, 0), (2, 0), (2, 1))
 
 
 def spin1_named(inv: InvariantSet) -> dict:
@@ -127,13 +129,19 @@ def spin1_named(inv: InvariantSet) -> dict:
         raise DomainError("named invariants I1..I5 are defined for spin-1 only")
     scal = dict(inv.scalars)
     pw = dict(zip(combinations(inv.axis_labels, 2), inv.values.tolist()))
-    return {
-        "I1": scal.get(1),
-        "I2": scal.get(2),
-        "I3": pw.get(((1, 0), (2, 0))),
-        "I4": pw.get(((1, 0), (2, 1))),
-        "I5": pw.get(((2, 0), (2, 1))),
-    }
+    pairs = dict(zip(("I3", "I4", "I5"), combinations(_SPIN1_AXES, 2)))
+    return {"I1": scal.get(1), "I2": scal.get(2), **{name: pw.get(pair) for name, pair in pairs.items()}}
+
+
+def _spin1_stack(present: np.ndarray, angles: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """I1..I5 of each item of a spin-1 stack as :func:`spin1_named` gives them, 0.0 for ``None``, shape (N, 5).
+
+    ``present``, ``angles`` and ``r`` are the arrays :func:`spinaxes.axes._decompose_stack` returns.
+    """
+    rank_at, axis_at = np.array(_SPIN1_AXES).T - [[1], [0]]  # index (k - 1, i) of axis (k, i)
+    values, _ = _invariant_stack(angles[:, rank_at, axis_at])
+    rows, cols = _pairs(len(_SPIN1_AXES))
+    return np.concatenate((r, np.where(present[:, rank_at[rows]] & present[:, rank_at[cols]], values, 0.0)), axis=1)
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,10 @@ hermiticity of rho is equivalent to t[k,q]* = (-1)^q t[k,-q].
 array, k ascending and q descending within each rank, t[k,q] at index
 k^2 + k - q: the layout of the stacked operator basis, so expansion and
 resummation are single array contractions. ``_density_stack`` checks an
-(N, d, d) matrix stack, ``_tensor_stack`` expands it and ``_check_tensor_stack``
-validates an (N, (2j+1)^2) component stack, the lowest failing item raising
-with ``index`` set; DensityMatrix, to_tensor and validate are stacks of one.
+(N, d, d) matrix stack, ``_tensor_stack`` expands it into an (N, (2j+1)^2)
+component stack in that layout, and ``_check_tensor_stack`` validates such a
+stack, the lowest failing item raising with ``index`` set; DensityMatrix,
+to_tensor and validate are stacks of one.
 """
 
 from functools import lru_cache
@@ -166,7 +167,7 @@ def to_tensor(rho) -> TensorComponents:
     """
     if not isinstance(rho, DensityMatrix):
         rho = DensityMatrix(rho)
-    return _tensor_stack(rho.matrix[None], rho.j)[0]
+    return TensorComponents(rho.j, _tensor_stack(rho.matrix[None], rho.j)[0])
 
 
 def _density_stack(arr: np.ndarray, j, tol: float = HERMITICITY_TOL) -> tuple[np.ndarray, HalfInt]:
@@ -191,9 +192,9 @@ def _density_stack(arr: np.ndarray, j, tol: float = HERMITICITY_TOL) -> tuple[np
     return arr, jj
 
 
-def _tensor_stack(arr: np.ndarray, j: HalfInt) -> list[TensorComponents]:
-    """:func:`to_tensor` of each matrix of a checked (N, d, d) stack of spin j, in one contraction."""
-    return [TensorComponents(j, row) for row in np.einsum("nij,kji->nk", arr, _tensor_operator_cached(j.twice))]
+def _tensor_stack(arr: np.ndarray, j: HalfInt) -> np.ndarray:
+    """The (N, (2j+1)^2) components of each matrix of a checked (N, d, d) stack of spin j, in one contraction."""
+    return np.einsum("nij,kji->nk", arr, _tensor_operator_cached(j.twice))
 
 
 def _conjugation_defects(stack: np.ndarray, tj: int) -> np.ndarray:

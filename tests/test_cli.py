@@ -260,15 +260,15 @@ class TestSweep:
         assert code == 2
 
     def test_failing_cell_is_named(self, tmp_path, capsys, monkeypatch):
-        real = cli.decompose_many
+        real = cli._decompose_stack
 
-        def fail_third_cell(ts):
-            real(ts)
+        def fail_third_cell(stack, tj):
+            real(stack, tj)
             exc = DecompositionError("synthetic failure")
             exc.index = 2
             raise exc
 
-        monkeypatch.setattr(cli, "decompose_many", fail_third_cell)
+        monkeypatch.setattr(cli, "_decompose_stack", fail_third_cell)
         out = tmp_path / "grid.csv"
         code, _, err = run(capsys, ["sweep", "--p", "0:1:2", "--theta", "0:0.5:2", "--out", str(out)])
         assert code == 3

@@ -152,19 +152,21 @@ class TestInvariantStack:
         forms = [decompose(to_tensor(random_density_matrix(tj / 2, rng))) for tj in (1, 2, 2, 3, 2, 8, 1, 16)]
         forms += [decompose(to_tensor(channel_mixed(ChannelParams.equal(p, 2 * t))))
                   for p in (0.0, 0.5, 1.0) for t in (0.0, math.pi / 2, 1.0)]
-        assert {len(f.present_ranks) for f in forms} >= {0, 1, 2}  # groups of no, some and all ranks
-        stacked = _invariant_stack(forms)
-        assert len(stacked) == len(forms)
-        for inv, form in zip(stacked, forms):
-            single = enumerate_invariants(form)
-            assert inv.j == single.j and inv.axis_labels == single.axis_labels and inv.count == single.count
-            assert repr(inv.scalars) == repr(single.scalars) and repr(inv.pairwise) == repr(single.pairwise)
-            assert inv.abs_cosines.shape == single.abs_cosines.shape
-            assert inv.abs_cosines.tobytes() == single.abs_cosines.tobytes()
-            assert not inv.abs_cosines.flags.writeable
-            assert inv.values.shape == single.values.shape and inv.values.tobytes() == single.values.tobytes()
-            assert not inv.values.flags.writeable
-        assert _invariant_stack([]) == []
+        assert {len(f.present_ranks) for f in forms} >= {0, 1, 2}  # stacks of no, some and all ranks
+        by_size = {}
+        for form in forms:
+            by_size.setdefault(form.n_axes, []).append(form)
+        for n, group in by_size.items():  # one stack of every form with n axes, whatever its j and ranks
+            angles = [[(ax.theta, ax.phi) for k in f.present_ranks for ax in f.rank(k).axes] for f in group]
+            values, abs_cos = _invariant_stack(np.reshape(angles, (len(group), n, 2)))
+            assert values.shape == (len(group), n * (n - 1) // 2) and abs_cos.shape == (len(group), n, n)
+            assert not values.flags.writeable and not abs_cos.flags.writeable
+            for row, cosines, form in zip(values, abs_cos, group):
+                single = enumerate_invariants(form)
+                assert row.tobytes() == single.values.tobytes()
+                assert cosines.tobytes() == single.abs_cosines.tobytes()
+        values, abs_cos = _invariant_stack(np.zeros((0, 3, 2)))
+        assert values.shape == (0, 3) and abs_cos.shape == (0, 3, 3)
 
 
 class TestVerifyInvariance:

@@ -5,7 +5,10 @@ grid as stacks: a kron-based two-beam state, one expansion in the tensor
 operator basis per cell, one PPT eigensolve per cell and one invariant pass
 per decomposition. It calls none of the stacked helpers (nor channel_mixed,
 to_tensor, ppt_separable or enumerate_invariants, which now run them on a
-stack of one), so any bit the stacked sweep changes shows up here.
+stack of one), so any bit the stacked sweep changes shows up here. The sweep
+is also rendered through the public objects (decompose_many,
+enumerate_invariants, spin1_named, ppt_separable), which its array path must
+match byte for byte.
 """
 
 import math
@@ -15,12 +18,12 @@ import pytest
 
 from spinaxes import cli
 from spinaxes.angular import HalfInt, clebsch_gordan, tensor_operator, unit_vector, unit_vector_components
-from spinaxes.axes import decompose
+from spinaxes.axes import decompose, decompose_many
 from spinaxes.invariants import enumerate_invariants, spin1_named
 from spinaxes.states import (
     TRIPLET_ISOMETRY, ChannelParams, _slf_polar_angles, channel_mixed, ppt_separable, random_density_matrix,
 )
-from spinaxes.tensors import DensityMatrix, TensorComponents
+from spinaxes.tensors import DensityMatrix, TensorComponents, to_tensor
 
 CG_SCALAR = tuple(clebsch_gordan(1, 1, 0, q, -q, 0) for q in (1, 0, -1))
 
@@ -153,3 +156,63 @@ def test_spin1_named_equals_triple_lookup_reference():
     for form in forms:
         scalars, pairwise, *_ = reference_invariants(form)
         assert repr(list(spin1_named(enumerate_invariants(form)).values())) == repr(reference_named(scalars, pairwise))
+
+
+def public_csv(cells, mats):
+    """The sweep CSV of these (p, theta) cells and their matrices, through the public objects."""
+    rhos = [DensityMatrix(mat, HalfInt(2)) for mat in mats]
+    lines = [cli.CSV_COLUMNS]
+    for (p, theta), rho, form in zip(cells, rhos, decompose_many(to_tensor(rho) for rho in rhos)):
+        named = spin1_named(enumerate_invariants(form))
+        values = [0.0 if named[key] is None else named[key] for key in ("I1", "I2", "I3", "I4", "I5")]
+        ppt = ppt_separable(rho)
+        lines.append(",".join([f"{v:.12g}" for v in [p, theta, *values, *map(abs, values[2:]), ppt.min_eigenvalue]]
+                              + [str(ppt.separable).lower()]))
+    return "\n".join(lines) + "\n"
+
+
+def grid_cells(p_range, theta_range):
+    return [(float(p), float(t)) for p in cli.parse_range(p_range) for t in cli.parse_range(theta_range)]
+
+
+def run_sweep(tmp_path, capsys, p_range, theta_range):
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", "--p", p_range, "--theta", theta_range, "--out", str(out)]) == 0
+    capsys.readouterr()
+    return out.read_text(encoding="utf-8")
+
+
+def seeded_grid(seed):
+    rng = np.random.default_rng(seed)
+    p0 = 0.0 if seed % 2 else float(rng.uniform(0.0, 0.5))  # every other grid has p = 0 rows
+    p1, t0, t1 = float(rng.uniform(p0, 1.0)), float(rng.uniform(0.0, 1.5)), float(rng.uniform(1.5, math.pi))
+    return f"{p0!r}:{p1!r}:{int(rng.integers(1, 8))}", f"{t0!r}:{t1!r}:{int(rng.integers(1, 10))}"
+
+
+@pytest.mark.parametrize("p_range, theta_range", [
+    ("0:1:21", "0deg:180deg:37"),  # the README grid
+    ("0:0:1", "0:3:4"),  # p = 0 only
+    ("0.6:0.6:1", "40deg:40deg:1"),  # a single cell
+    ("0:1:5", "0:180deg:5"),  # p = 0 rows and forms with ranks (1, 2), (2,) and ()
+] + [seeded_grid(seed) for seed in range(20)])
+def test_sweep_csv_equals_public_object_rendering(tmp_path, capsys, p_range, theta_range):
+    cells = grid_cells(p_range, theta_range)
+    mats = [channel_mixed(ChannelParams.equal(p, 2.0 * theta)).matrix for p, theta in cells]
+    assert run_sweep(tmp_path, capsys, p_range, theta_range) == public_csv(cells, mats)
+
+
+def test_sweep_of_every_rank_structure_equals_public_object_rendering(tmp_path, capsys, monkeypatch):
+    rank1_only = np.diag([1.0 / 3.0 + 0.2, 1.0 / 3.0, 1.0 / 3.0 - 0.2])  # t[2, q] = 0, t[1, 0] != 0
+    real = cli._channel_stack
+
+    def with_rank1_cell(params):
+        mats = real(params).copy()
+        mats[-1] = rank1_only
+        return mats
+
+    monkeypatch.setattr(cli, "_channel_stack", with_rank1_cell)
+    cells = grid_cells("0:1:3", "0:180deg:3")
+    mats = [channel_mixed(ChannelParams.equal(p, 2.0 * theta)).matrix for p, theta in cells[:-1]] + [rank1_only]
+    forms = decompose_many(to_tensor(DensityMatrix(mat)) for mat in mats)
+    assert {form.present_ranks for form in forms} == {(1, 2), (2,), (1,), ()}
+    assert run_sweep(tmp_path, capsys, "0:1:3", "0:180deg:3") == public_csv(cells, mats)

@@ -206,10 +206,11 @@ class TestStacks:
         dim = twice_j + 1
         vecs = [rng.normal(size=(dim, cols)) + 1j * rng.normal(size=(dim, cols)) for cols in (1, 1, dim, dim)]
         mats = np.array([v @ v.conj().T / np.trace(v @ v.conj().T).real for v in vecs])  # pure, then Ginibre
-        ts = _tensor_stack(*_density_stack(mats.copy(), HalfInt(twice_j)))
-        for mat, t in zip(mats, ts):
+        stack = _tensor_stack(*_density_stack(mats.copy(), HalfInt(twice_j)))
+        assert stack.shape == (len(mats), dim * dim)
+        for mat, row in zip(mats, stack):
             expected = per_matrix_tensor(mat, twice_j).tobytes()
-            assert t.j == HalfInt(twice_j) and t.array.tobytes() == expected
+            assert row.tobytes() == expected
             assert to_tensor(DensityMatrix(mat)).array.tobytes() == expected
 
     @pytest.mark.parametrize("kind", ["non-finite", "non-Hermitian", "trace"])
