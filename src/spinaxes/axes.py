@@ -361,18 +361,20 @@ def _root_points(coeffs: np.ndarray, deficiency: np.ndarray, ks: np.ndarray) -> 
 
     Row i of the (rows, 2 max(ks), 2) result holds its 2 ks[i] points. As
     np.roots does, exact zeros at either end of C_0 ... C_degree are
-    stripped from the companion matrix, the low ones becoming roots at Z = 0;
-    rows are grouped by rank, degree and stripped span, one eigensolve per
-    group; then the roots of all rows are sorted, checked and converted in one pass each. A row whose
-    eigensolve does not converge, else the lowest row with a root missing the residual bound, raises.
+    stripped from the companion matrix, the low ones becoming roots at Z = 0; rows are grouped in a dict by rank,
+    degree and stripped span (found for all rows at once), one eigensolve per group; then the roots of all rows
+    are sorted, checked and converted in one pass each. A row whose eigensolve does not converge, else the
+    lowest row with a root missing the residual bound, raises.
     """
     degrees = 2 * ks - deficiency
     real = np.zeros((len(ks), 2 * int(ks.max())), dtype=bool)  # the finite roots, after the deficiency roots
     zs = np.zeros(real.shape, dtype=complex)  # the low roots at Z = 0 stay +0
+    cols = np.arange(coeffs.shape[1])
+    nonzero = (coeffs != 0) & (cols <= degrees[:, None])  # in C_0 ... C_degree; none gives the span [0, 0]
+    first, last = np.argmax(nonzero, axis=1), (cols * nonzero).max(axis=1)
     groups = {}
-    for row, (k, degree, nonzero) in enumerate(zip(ks.tolist(), degrees.tolist(), (coeffs != 0).tolist())):
-        span = [r for r in range(degree + 1) if nonzero[r]] or [0]
-        groups.setdefault((k, degree, span[0], span[-1]), []).append(row)
+    for row, key in enumerate(zip(ks.tolist(), degrees.tolist(), first.tolist(), last.tolist())):
+        groups.setdefault(key, []).append(row)
     for (k, degree, low, high), rows in groups.items():
         real[rows, 2 * k - degree:2 * k] = high > 0  # C_0 alone: no finite root, every point at (0, 0)
         size = high - low
@@ -468,10 +470,10 @@ def _polar(vecs: np.ndarray) -> np.ndarray:
 def _pairings(points: np.ndarray, ks: np.ndarray) -> np.ndarray:
     """Antipodal pairing of stacked root-point sets, row i holding 2 ks[i] points (theta, phi), zero-padded.
 
-    Each set is paired as :func:`pair_and_canonicalize` describes, by one stable argsort of all mismatches;
-    padded points get mismatch +inf and join no cluster. Returns the (theta, phi) of each set's ks[i] axes,
-    zero-padded to shape (rows, points.shape[1] // 2, 2). Raises the DecompositionError of the lowest set
-    holding a non-finite point, else of the lowest set with a point that has no antipodal partner.
+    Each set is paired as :func:`pair_and_canonicalize` describes, by one stable argsort of all mismatches and a
+    greedy scan (none for two points); padded points get mismatch +inf and join no cluster. Returns the (theta, phi)
+    of each set's ks[i] axes, zero-padded to (rows, points.shape[1] // 2, 2). Raises the DecompositionError of the
+    lowest set holding a non-finite point, else of the lowest set with a point that has no antipodal partner.
     """
     count, n = points.shape[:2]
     real = np.arange(n) < 2 * ks[:, None]
@@ -497,6 +499,9 @@ def _pairings(points: np.ndarray, ks: np.ndarray) -> np.ndarray:
     ranked = np.argsort(mismatch.reshape(count, n * n), axis=1, kind="stable")  # ties in row-major order
     picks = []
     for row, k in enumerate(ks.tolist()):
+        if k == 1:  # the only real pair, (0, 1), needs no scan
+            picks.append(1)
+            continue
         free, done = [True] * (2 * k), len(picks) + k
         for pick in ranked[row, :k * (2 * k - 1)].tolist():  # the real pairs i < j
             i, j = divmod(pick, n)

@@ -35,7 +35,9 @@ from .angular import (
 from .axes import EMPTY_RANK_TOL, _decompose_stack, build_polynomial, decompose, pair_and_canonicalize, solve_axes
 from .errors import DecompositionError, DomainError, StateFileError, ValidationError
 from .invariants import _spin1_stack, enumerate_invariants, invariant_count, verify_invariance
-from .states import ChannelParams, _channel_stack, _ppt_stack, channel_mixed, pure_two_spinor, random_density_matrix
+from .states import (
+    PPT_TOL, ChannelParams, _channel_stack, _ppt_stack, channel_mixed, pure_two_spinor, random_density_matrix,
+)
 from .tensors import DensityMatrix, _density_stack, _tensor_stack, random_tensor_components, to_tensor
 
 __all__ = ["main", "read_state_file", "write_state_file", "parse_angle", "parse_range"]
@@ -47,6 +49,7 @@ EXIT_NUMERIC = 3
 EXIT_IO = 4
 
 CSV_COLUMNS = "p,theta,I1,I2,I3,I4,I5,abs_I3,abs_I4,abs_I5,ppt_min_eig,separable"
+_CSV_ROW = ",".join(["%.12g"] * 11 + ["%s"])  # one sweep row; %-formatting gives _fmt's strings
 
 
 def _fmt(x: float) -> str:
@@ -71,7 +74,10 @@ def parse_range(text: str) -> np.ndarray:
     if len(parts) != 3:
         raise DomainError(f"range {text!r} must look like start:stop:steps")
     start, stop = parse_angle(parts[0]), parse_angle(parts[1])
-    steps = int(parts[2])
+    try:
+        steps = int(parts[2])
+    except ValueError:
+        raise DomainError(f"range {text!r} needs an integer step count") from None
     if steps < 1:
         raise DomainError(f"range {text!r} needs at least 1 step")
     return np.linspace(start, stop, steps)
@@ -282,29 +288,18 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        p_values = parse_range(args.p)
-        theta_values = parse_range(args.theta)
-    except (DomainError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    cells = [(float(p), float(theta)) for p in p_values for theta in theta_values]
-    mats = _channel_stack([ChannelParams.equal(p, 2.0 * theta) for p, theta in cells])
+    p, theta = (axis.ravel() for axis in np.meshgrid(parse_range(args.p), parse_range(args.theta), indexing="ij"))
+    mats = _channel_stack(p, p, 2.0 * theta)  # the first bad cell raises a DomainError, reported by main
     try:
         present, angles, r, _, _ = _decompose_stack(_tensor_stack(*_density_stack(mats, HalfInt(2))), 2)
     except (DecompositionError, ValidationError) as exc:
-        p, theta = cells[exc.index]
-        print(f"error: decomposition failed during sweep at p={_fmt(p)}, theta={_fmt(theta)}: {exc}",
-              file=sys.stderr)
+        print(f"error: decomposition failed during sweep at p={_fmt(float(p[exc.index]))}, "
+              f"theta={_fmt(float(theta[exc.index]))}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    lines = [CSV_COLUMNS]
-    for (p, theta), values, ppt in zip(cells, _spin1_stack(present, angles, r).tolist(), _ppt_stack(mats)):
-        lines.append(",".join(
-            [_fmt(p), _fmt(theta)]
-            + [_fmt(v) for v in values]
-            + [_fmt(abs(v)) for v in values[2:]]
-            + [_fmt(ppt.min_eigenvalue), "true" if ppt.separable else "false"]
-        ))
+    values, lowest = _spin1_stack(present, angles, r), _ppt_stack(mats)
+    table = np.column_stack((p, theta, values, np.abs(values[:, 2:]), lowest)).tolist()
+    separable = np.where(lowest >= -PPT_TOL, "true", "false").tolist()
+    lines = [CSV_COLUMNS] + [_CSV_ROW % (*row, flag) for row, flag in zip(table, separable)]
     text = "\n".join(lines) + "\n"
     try:
         with open(args.out, "w", encoding="utf-8") as handle:

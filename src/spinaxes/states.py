@@ -82,15 +82,22 @@ class ChannelParams:
     two_theta: float
 
     def __post_init__(self):
-        for name, p in (("p1", self.p1), ("p2", self.p2)):
-            if not 0.0 <= p <= 1.0:
-                raise DomainError(f"{name}={p} outside [0, 1]")
-        if not -1e-12 <= self.two_theta <= _TWO_PI + 1e-12:
-            raise DomainError(f"two_theta={self.two_theta} outside [0, 2 pi]")
+        _channel_array([self.p1], [self.p2], [self.two_theta])
 
     @classmethod
     def equal(cls, p: float, two_theta: float) -> "ChannelParams":
         return cls(p, p, two_theta)
+
+
+def _channel_array(p1, p2, two_theta) -> np.ndarray:
+    """(N, 3) array of items (p1[i], p2[i], two_theta[i]); raises ChannelParams's DomainError for the first bad one."""
+    values = np.array((p1, p2, two_theta), dtype=float).T
+    bad = np.argwhere(~((values >= [0.0, 0.0, -1e-12]) & (values <= [1.0, 1.0, _TWO_PI + 1e-12])))  # item-major
+    if bad.size:
+        item, field = bad[0]
+        raise DomainError(f"{('p1', 'p2', 'two_theta')[field]}={(p1, p2, two_theta)[field][item]} outside "
+                          + ("[0, 2 pi]" if field == 2 else "[0, 1]"))
+    return values
 
 
 def symmetrize_pure(spinors) -> DensityMatrix:
@@ -124,8 +131,7 @@ def pure_two_spinor(two_theta: float) -> DensityMatrix:
     The spinors sit at polar angle theta = two_theta/2 with azimuths 0 and pi,
     giving amplitudes only on m = +1 and m = -1 with a relative minus sign.
     """
-    if not -1e-12 <= two_theta <= _TWO_PI + 1e-12:
-        raise DomainError(f"two_theta={two_theta} outside [0, 2 pi]")
+    _channel_array([1.0], [1.0], [two_theta])  # the channel_mixed range check at p1 = p2 = 1
     theta = two_theta / 2.0
     ch2 = math.cos(theta / 2.0) ** 2
     sh2 = math.sin(theta / 2.0) ** 2
@@ -145,9 +151,9 @@ def _slf_polar_angles(p1: float, p2: float, two_theta: float) -> tuple[float, fl
 
     Chosen so the frame z-axis carries the whole rank-1 polarization:
     p1 sin(alpha) = p2 sin(beta) with alpha + beta = two_theta. For equal
-    magnitudes this is the plain bisector alpha = beta = theta; the
-    antiparallel equal-magnitude case (two_theta = pi) is degenerate and
-    falls back to the same bisector convention.
+    magnitudes this is the bisector alpha = beta = theta only up to rounding: near two_theta = pi,
+    x = p1 + p2 cos(two_theta) cancels, and alpha - beta reaches 5.8e-10 at p = 0.13, two_theta = pi + 4.9e-7.
+    Only |x| and |y| both below 1e-15 give the bisector itself.
     """
     y = p2 * math.sin(two_theta)
     x = p1 + p2 * math.cos(two_theta)
@@ -163,12 +169,12 @@ def _slf_polar_angles(p1: float, p2: float, two_theta: float) -> tuple[float, fl
     return (alpha, beta)
 
 
-def _channel_stack(params) -> np.ndarray:
-    """(N, 3, 3) stack of the :func:`channel_mixed` matrices of a list of ChannelParams, in one pass."""
-    p = np.array([(c.p1, c.p2) for c in params]).reshape(-1, 2)
-    polar = np.array([_slf_polar_angles(c.p1, c.p2, c.two_theta) for c in params]).reshape(-1, 2)
+def _channel_stack(p1, p2, two_theta) -> np.ndarray:
+    """(N, 3, 3) stack of :func:`channel_mixed` matrices of items (p1[i], p2[i], two_theta[i]), checked in one pass."""
+    p = _channel_array(p1, p2, two_theta)
+    polar = np.array(list(map(_slf_polar_angles, *p.T.tolist()))).reshape(-1, 2)  # libm bits, not arctan2's
     # Bloch vector components of both beams (azimuths 0 and pi) of every item, each of shape (N, 2)
-    nx, ny, nz = np.moveaxis(p[..., None] * unit_vector(polar, np.array([0.0, math.pi])), -1, 0)
+    nx, ny, nz = np.moveaxis(p[:, :2, None] * unit_vector(polar, np.array([0.0, math.pi])), -1, 0)
     q1, q2 = (0.5 * np.array([[1.0 + nz, nx - 1j * ny], [nx + 1j * ny, 1.0 - nz]])).transpose(3, 2, 0, 1)
     combined = (q1[:, :, None, :, None] * q2[:, None, :, None, :]).reshape(-1, 4, 4)  # kron, item by item
     projected = TRIPLET_ISOMETRY @ combined @ TRIPLET_ISOMETRY.conj().T
@@ -183,7 +189,7 @@ def channel_mixed(params: ChannelParams) -> DensityMatrix:
     product state is then projected onto the spin-1 subspace. At p1 = p2 = 1
     this reduces exactly to :func:`pure_two_spinor`.
     """
-    return DensityMatrix(_channel_stack([params])[0], HalfInt(2))
+    return DensityMatrix(_channel_stack([params.p1], [params.p2], [params.two_theta])[0], HalfInt(2))
 
 
 class PptResult(NamedTuple):
@@ -191,12 +197,11 @@ class PptResult(NamedTuple):
     min_eigenvalue: float
 
 
-def _ppt_stack(mats: np.ndarray) -> list[PptResult]:
-    """:func:`ppt_separable` of each matrix of an (N, 3, 3) stack, in one batched eigensolve."""
+def _ppt_stack(mats: np.ndarray) -> np.ndarray:
+    """:func:`ppt_separable`'s min_eigenvalue of each matrix of an (N, 3, 3) stack, in one batched eigensolve."""
     four = TRIPLET_ISOMETRY.conj().T @ mats @ TRIPLET_ISOMETRY
     pt = four.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(-1, 4, 4)
-    return [PptResult(separable=lowest >= -PPT_TOL, min_eigenvalue=lowest)
-            for lowest in np.linalg.eigvalsh(pt)[:, 0].tolist()]
+    return np.linalg.eigvalsh(pt)[:, 0]
 
 
 def ppt_separable(rho: DensityMatrix) -> PptResult:
@@ -209,7 +214,8 @@ def ppt_separable(rho: DensityMatrix) -> PptResult:
     """
     if rho.dim != 3:
         raise DomainError("PPT flag is implemented for spin-1 (3x3) states")
-    return _ppt_stack(rho.matrix[None])[0]
+    lowest = float(_ppt_stack(rho.matrix[None])[0])
+    return PptResult(separable=lowest >= -PPT_TOL, min_eigenvalue=lowest)
 
 
 def random_density_matrix(j, rng: "np.random.Generator", *, pure: bool = False) -> DensityMatrix:

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import warnings
 
@@ -644,6 +645,25 @@ class TestSinglePassStagesMatchReference:
         t = random_tensor_components(HalfInt(6), rng).array.copy()
         t[[k * k for k in range(1, 7)] + [k * k + 2 * k for k in range(1, 7)]] = 0.0
         assert isinstance(self.assert_same_stages(*rank_rows([TensorComponents(HalfInt(6), t)])), bytes)
+
+    def test_interleaved_spans_and_deficiencies_of_one_rank(self):
+        # rank-3 rows whose exact zeros at the low end, deficiencies and deficient coefficients (exact zeros or
+        # tiny) differ from row to row, in shuffled order
+        rng = np.random.default_rng(54)
+        coeffs, deficiency = [], []
+        for low, defic, tiny in itertools.product(range(4), range(3), range(2)):
+            c = rng.normal(size=7) + 1j * rng.normal(size=7)
+            c[7 - defic:] *= 1e-14 * tiny
+            c[:low] = 0.0
+            coeffs.append(c)
+            deficiency.append(defic)
+        coeffs += [np.array([0, 0, 0, 0, 0, 0, 1.0 + 0j]), np.array([0, 0, 0, 2.0, 0, 0, 0j])]  # no nonzero C_r in
+        deficiency += [2, 3]  # C_0 ... C_degree, and C_3 alone
+        rows = rng.permutation(len(coeffs))
+        stack = (np.array(coeffs)[rows], np.array(deficiency)[rows], np.full(len(rows), 3))
+        assert len({(int(d), int(np.argmax(c != 0))) for c, d in zip(*stack[:2])}) > 10
+        roots = stage_outcome(_root_points, *stack)
+        assert isinstance(roots, bytes) and roots == stage_outcome(reference_root_points, *stack)
 
     def test_constant_polynomial_points_sit_at_the_pole(self):
         # C_0 alone, although the deficiency claims degree 2: both points at (0, 0), as a rank with no finite root

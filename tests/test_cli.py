@@ -258,6 +258,33 @@ class TestSweep:
     def test_bad_range_exit_code(self, capsys):
         code, out, err = run(capsys, ["sweep", "--p", "zero:1:2", "--theta", "0:1:2", "--out", "x.csv"])
         assert code == 2
+        for steps in ("1.5", "abc"):
+            code, out, err = run(capsys, ["sweep", "--p", f"0:1:{steps}", "--theta", "0:1:2", "--out", "x.csv"])
+            assert (code, err) == (2, f"error: range '0:1:{steps}' needs an integer step count\n")
+
+    def test_first_out_of_range_cell_is_named(self, tmp_path, capsys):
+        out = tmp_path / "grid.csv"
+        for p_range, theta_range, message in (
+            ("0:2:3", "0:1:2", "p1=2.0 outside [0, 1]"),
+            ("0:1:2", "0:4:2", "two_theta=8.0 outside [0, 2 pi]"),  # cell (0, 4) comes before cell (1, 0)
+            ("0:2:3", "0:4:2", "two_theta=8.0 outside [0, 2 pi]"),
+            ("2:0:3", "0:4:2", "p1=2.0 outside [0, 1]"),
+            ("0:nan:2", "0:1:2", "p1=nan outside [0, 1]"),
+            ("0:1:2", "nan:1:2", "two_theta=nan outside [0, 2 pi]"),
+            ("-1e-300:0:2", "0:1:2", "p1=-1e-300 outside [0, 1]"),
+        ):
+            code, _, err = run(capsys, ["sweep", f"--p={p_range}", f"--theta={theta_range}", "--out", str(out)])
+            assert (code, err) == (2, f"error: {message}\n")
+            assert not out.exists()
+
+    def test_rows_are_rendered_as_fmt_renders_each_value(self):
+        rng = np.random.default_rng(47)
+        specials = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1e300, -1e300, 1e-300, -1e-300,
+                    1.7976931348623157e308, math.inf, -math.inf, math.nan, 0.1, 1 / 3, 123456789012.5, 1e16]
+        values = specials + (rng.normal(size=2000) * 10.0 ** rng.integers(-20, 20, size=2000)).tolist()
+        rows = [values[i:i + 11] for i in range(0, len(values) - 10)]
+        for row, flag in zip(rows, ["true", "false"] * len(rows)):
+            assert cli._CSV_ROW % (*row, flag) == ",".join([cli._fmt(v) for v in row] + [flag])
 
     def test_failing_cell_is_named(self, tmp_path, capsys, monkeypatch):
         real = cli._decompose_stack
@@ -278,8 +305,8 @@ class TestSweep:
     def test_invalid_cell_matrix_is_named(self, tmp_path, capsys, monkeypatch):
         real = cli._channel_stack
 
-        def skew_second_cell(params):
-            mats = real(params).copy()
+        def skew_second_cell(p1, p2, two_theta):
+            mats = real(p1, p2, two_theta).copy()
             mats[1, 0, 1] += 1e-3
             return mats
 

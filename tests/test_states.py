@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,9 +7,11 @@ import pytest
 from spinaxes.angular import HalfInt
 from spinaxes.errors import DomainError
 from spinaxes.states import (
+    PPT_TOL,
     ChannelParams,
     Spinor,
     _channel_stack,
+    _channel_array,
     _ppt_stack,
     channel_mixed,
     ppt_separable,
@@ -194,19 +197,49 @@ class TestStacks:
 
     def test_channel_stack_matches_channel_mixed(self):
         params = self.params()
-        stack = _channel_stack(params)
+        stack = _channel_stack(*zip(*((c.p1, c.p2, c.two_theta) for c in params)))
         assert stack.shape == (len(params), 3, 3)
         for mat, item in zip(stack, params):
             assert np.ascontiguousarray(mat).tobytes() == channel_mixed(item).matrix.tobytes()
 
     def test_ppt_stack_matches_ppt_separable(self):
         rhos = [channel_mixed(item) for item in self.params()] + [pure_two_spinor(t) for t in (0.0, 1.0, math.pi)]
-        results = _ppt_stack(np.array([rho.matrix for rho in rhos]))
-        assert any(not r.separable for r in results) and any(r.separable for r in results)
-        for result, rho in zip(results, rhos):
+        lowest = _ppt_stack(np.array([rho.matrix for rho in rhos]))
+        separable = lowest >= -PPT_TOL
+        assert separable.any() and not separable.all()
+        for value, flag, rho in zip(lowest.tolist(), separable.tolist(), rhos):
             single = ppt_separable(rho)
-            assert type(result.separable) is bool and type(result.min_eigenvalue) is float
-            assert result == single and repr(result.min_eigenvalue) == repr(single.min_eigenvalue)
+            assert type(single.separable) is bool and type(single.min_eigenvalue) is float
+            assert (flag, value) == single and repr(value) == repr(single.min_eigenvalue)
+
+    @staticmethod
+    def reference_channel_error(p1, p2, two_theta):
+        """The message of the range check ChannelParams made one item at a time, or None."""
+        for name, p in (("p1", p1), ("p2", p2)):
+            if not 0.0 <= p <= 1.0:
+                return f"{name}={p} outside [0, 1]"
+        if not -1e-12 <= two_theta <= 2 * math.pi + 1e-12:
+            return f"two_theta={two_theta} outside [0, 2 pi]"
+        return None
+
+    def test_range_check_raises_for_the_first_bad_item(self):
+        nan, top = float("nan"), 2 * math.pi + 1e-12
+        for items in ([(0.5, 0.5, 1.0), (2.0, 2.0, 8.0)], [(0.5, 0.5, 8.0), (2.0, 2.0, 1.0)],
+                      [(0.5, 1.2, 1.0), (0.5, 0.5, -1.0)], [(1.0, 0.0, top), (0.5, nan, 1.0), (nan, 0.5, 1.0)],
+                      [(0.0, 0.0, -1e-12), (1.0, 1.0, 0.5), (0.3, 0.3, nan)], [(-0.0, 1.0, 2 * math.pi)],
+                      [(0.2, 0.2, 3.0)] * 5 + [(0.2, -1e-300, 3.0)]):
+            expected = next(filter(None, (self.reference_channel_error(*item) for item in items)), None)
+            for stack in (list(zip(*items)), np.array(items).T):
+                if expected is None:
+                    assert _channel_array(*stack).tobytes() == np.array(items, dtype=float).tobytes()
+                    continue
+                with pytest.raises(DomainError) as info:
+                    _channel_array(*stack)
+                assert str(info.value) == expected
+            if expected is not None:
+                with pytest.raises(DomainError, match=re.escape(expected)):
+                    for item in items:
+                        ChannelParams(*item)
 
 
 class TestSpinor:

@@ -205,8 +205,8 @@ def test_sweep_of_every_rank_structure_equals_public_object_rendering(tmp_path, 
     rank1_only = np.diag([1.0 / 3.0 + 0.2, 1.0 / 3.0, 1.0 / 3.0 - 0.2])  # t[2, q] = 0, t[1, 0] != 0
     real = cli._channel_stack
 
-    def with_rank1_cell(params):
-        mats = real(params).copy()
+    def with_rank1_cell(p1, p2, two_theta):
+        mats = real(p1, p2, two_theta).copy()
         mats[-1] = rank1_only
         return mats
 
