@@ -391,7 +391,7 @@ def _root_points(coeffs: np.ndarray, deficiency: np.ndarray, ks: np.ndarray) -> 
     steps = np.arange(int(degrees.max()) + 1)
     low_first = steps - (steps[-1] - degrees[row, None])  # index in C_0 ... C_degree per step, < 0 on padding
     big = np.abs(z) > 1.0
-    seq = coeffs[row[:, None], np.where(big[:, None], low_first, degrees[row, None] - low_first)]
+    seq = coeffs[row[:, None], np.where(big[:, None], low_first, steps[::-1])]  # steps[::-1] is degree - low_first
     seq[low_first < 0] = 0.0
     x = np.divide(1.0, z, out=z.copy(), where=big)
     values = np.zeros_like(z)
@@ -474,6 +474,11 @@ def _pairings(points: np.ndarray, ks: np.ndarray) -> np.ndarray:
     greedy scan (none for two points); padded points get mismatch +inf and join no cluster. Returns the (theta, phi)
     of each set's ks[i] axes, zero-padded to (rows, points.shape[1] // 2, 2). Raises the DecompositionError of the
     lowest set holding a non-finite point, else of the lowest set with a point that has no antipodal partner.
+
+    Scratch: one (3, rows, n, n) float block, allocated per call, holds |v_i x v_j|, v_i . v_j and a spare square;
+    every elementwise pass writes into it with ``out=``, the spare ending as the mismatches. The stable argsort
+    adds one (rows, n * n) index array. Cluster sizes are counted only for sets with a picked pair beyond
+    PAIRING_TOL, since the widened tolerance is never below it.
     """
     count, n = points.shape[:2]
     real = np.arange(n) < 2 * ks[:, None]
@@ -484,17 +489,19 @@ def _pairings(points: np.ndarray, ks: np.ndarray) -> np.ndarray:
                                  index=int(row))
     vecs = unit_vector(points[..., 0], points[..., 1])
     a, b = vecs[:, :, None, :], vecs[:, None, :, :]
-    # |v_i x v_j| with np.cross's products and np.linalg.norm's sum order
-    c0 = a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1]
-    c1 = a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2]
-    c2 = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
-    cross = np.sqrt(c0 * c0 + c1 * c1 + c2 * c2)
-    dots = vecs @ vecs.transpose(0, 2, 1)
+    cross, dots, spare = np.empty((3, count, n, n))
+    # |v_i x v_j| with np.cross's products c_i = a_p b_q - a_q b_p and np.linalg.norm's sum order: c_0 is squared
+    # in cross, c_1 and c_2 in dots, each then added to cross
+    for c, (p, q) in zip((cross, dots, dots), ((1, 2), (2, 0), (0, 1))):
+        np.multiply(a[..., p], b[..., q], out=c)
+        np.subtract(c, np.multiply(a[..., q], b[..., p], out=spare), out=c)
+        np.multiply(c, c, out=c)
+        if c is dots:
+            np.add(cross, dots, out=cross)
+    np.sqrt(cross, out=cross)
+    np.matmul(vecs, vecs.transpose(0, 2, 1), out=dots)
+    mismatch = np.arctan2(cross, np.negative(dots, out=spare), out=spare)
     both = real[:, :, None] & real[:, None, :]
-    # largest number of points within 1e-3 rad of one point, itself included
-    cluster = ((np.arctan2(cross, dots) < 1e-3) & both).sum(axis=2).max(axis=1)
-    eff_tol = np.array([max(PAIRING_TOL, 100.0 * _EPS ** (1.0 / m)) for m in cluster.tolist()])
-    mismatch = np.arctan2(cross, -dots)
     mismatch[~both | np.tri(n, dtype=bool)] = np.inf  # only pairs i < j of real points
     ranked = np.argsort(mismatch.reshape(count, n * n), axis=1, kind="stable")  # ties in row-major order
     picks = []
@@ -515,13 +522,20 @@ def _pairings(points: np.ndarray, ks: np.ndarray) -> np.ndarray:
     first, second = np.zeros((2, count, n // 2), dtype=np.intp)
     first[paired], second[paired] = np.divmod(picks, n)
     ang = mismatch[every[:, None], first, second]
-    too_far = (ang > eff_tol[:, None]) & paired
-    if too_far.any():
-        row, rnd = np.argwhere(too_far)[0]
-        raise DecompositionError(f"root point {tuple(points[row, first[row, rnd]].tolist())} has no antipodal "
-                                 f"partner (best mismatch {ang[row, rnd]:.3e} rad > {eff_tol[row]:.3e}); "
-                                 "the input tensor likely violates conjugation symmetry", stage="pairing",
-                                 index=int(row))
+    loose = (ang > PAIRING_TOL) & paired
+    if loose.any():
+        sets = loose.any(axis=1)
+        # largest number of points within 1e-3 rad of one point, itself included
+        cluster = ((np.arctan2(cross[sets], dots[sets]) < 1e-3) & both[sets]).sum(axis=2).max(axis=1)
+        eff_tol = np.full(count, PAIRING_TOL)
+        eff_tol[sets] = [max(PAIRING_TOL, 100.0 * _EPS ** (1.0 / m)) for m in cluster.tolist()]
+        too_far = (ang > eff_tol[:, None]) & paired
+        if too_far.any():
+            row, rnd = np.argwhere(too_far)[0]
+            raise DecompositionError(f"root point {tuple(points[row, first[row, rnd]].tolist())} has no antipodal "
+                                     f"partner (best mismatch {ang[row, rnd]:.3e} rad > {eff_tol[row]:.3e}); "
+                                     "the input tensor likely violates conjugation symmetry", stage="pairing",
+                                     index=int(row))
     # the pair difference averages out opposite-signed root noise
     mean = (vecs[every[:, None], first] - vecs[every[:, None], second])[paired]
     mean /= np.sqrt(mean[:, None, :] @ mean[:, :, None])[:, 0]  # np.linalg.norm's dot product

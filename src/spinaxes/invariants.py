@@ -95,20 +95,26 @@ def _invariant_stack(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns the signed (Qa x Qb)^0_0 over the pairs a < b, shape (m, n(n-1)/2),
     and |Qa . Qb|, shape (m, n, n) with diagonal 1, in one pass over the stack.
+
+    Scratch: one complex (m, n, n) square, allocated by the first product and written by the other two with
+    ``out=``, and one float square that sums their real parts and then becomes the returned |Qa . Qb|.
     """
     m, n = angles.shape[:2]
     # all angles in one flat run: each elementwise pass is one 1-d loop, as it is for a single form
     theta, phi = angles.reshape(m * n, 2).T
     comps = unit_vector_components(theta, phi).reshape(m, n, 3)
-    coupled = np.zeros((m, n, n), dtype=complex)
-    # couple(a, b, 0)[0] for every pair, summed in couple's order: sum_q C(1 1 0; q -q 0) a_q b_-q
+    coupled = np.zeros((m, n, n))
+    # couple(a, b, 0)[0] for every pair, summed in couple's order: sum_q C(1 1 0; q -q 0) a_q b_-q; a complex
+    # sum adds real and imaginary parts apart, so summing the real parts alone gives its real part's bits
     weighted = comps * _CG_SCALAR
+    term = None
     for i in range(3):
-        coupled += weighted[..., i, None] * comps[:, None, :, 2 - i]
+        term = np.multiply(weighted[..., i, None], comps[:, None, :, 2 - i], out=term)
+        coupled += term.real
     rows, cols = _pairs(n)
-    values = coupled.real[:, rows, cols]
+    values = coupled[:, rows, cols]
     vecs = unit_vector(theta, phi).reshape(m, n, 3)
-    abs_cos = np.abs(vecs @ vecs.transpose(0, 2, 1))
+    abs_cos = np.abs(np.matmul(vecs, vecs.transpose(0, 2, 1), out=coupled), out=coupled)
     abs_cos.reshape(m, n * n)[:, ::n + 1] = 1.0  # the diagonals
     values.setflags(write=False)
     abs_cos.setflags(write=False)

@@ -680,12 +680,27 @@ class TestSinglePassStagesMatchReference:
         unpaired = [(0.3, 0.0), (0.4, 1.0)]
         a, b = Axis(0.6, 1.2), Axis(2.1, 4.0)
         triple = [pt for ax in (a, a, b) for pt in ((ax.theta, ax.phi), (math.pi - ax.theta, ax.phi + math.pi))]
-        for sets in ([tie, pair, triple], [pair, tie + pair, unpaired, tie], [triple, unpaired + pair, unpaired]):
+
+        def two_fold(miss):  # a and a point 1e-4 rad from it, one antipode exact, the other miss rad off
+            return [(0.6, 1.2), (0.6 + 1e-4, 1.2), (math.pi - 0.6 + miss, 1.2 + math.pi),
+                    (math.pi - 0.6 - 1e-4, 1.2 + math.pi)]
+
+        # a two-fold cluster widens the tolerance to 100 eps^(1/2) ~ 1.490e-06: its best mismatch 5e-7 pairs, 3e-6 not
+        close, loose = two_fold(5e-7), two_fold(3e-6)
+
+        def stack(sets):
             ks = np.array([len(pts) // 2 for pts in sets])
             points = np.zeros((len(sets), 2 * ks.max(), 2))
             for row, pts in enumerate(sets):
                 points[row, :len(pts)] = pts
-            assert stage_outcome(_pairings, points, ks) == stage_outcome(reference_pairings, points, ks)
+            return points, ks
+
+        for sets in ([tie, pair, triple], [pair, tie + pair, unpaired, tie], [triple, unpaired + pair, unpaired],
+                     [pair, close, tie, close], [close, pair, loose, close], [tie, loose + pair, unpaired]):
+            assert stage_outcome(_pairings, *stack(sets)) == stage_outcome(reference_pairings, *stack(sets))
+        assert PAIRING_TOL < 5e-7 and isinstance(stage_outcome(_pairings, *stack([pair, close, tie, close])), bytes)
+        message, _, index = stage_outcome(_pairings, *stack([close, pair, loose, close]))
+        assert "(best mismatch 3.000e-06 rad > 1.490e-06)" in message and index == 2
         axes = _pairings(np.array([tie]), np.array([2]))[0]  # pairs (0, 2) and (1, 3), scan order on the tie
         assert axes[:, 1] == pytest.approx([math.pi, math.pi / 4], abs=1e-6)
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -167,6 +168,39 @@ class TestInvariantStack:
                 assert cosines.tobytes() == single.abs_cosines.tobytes()
         values, abs_cos = _invariant_stack(np.zeros((0, 3, 2)))
         assert values.shape == (0, 3) and abs_cos.shape == (0, 3, 3)
+
+
+def traced_peak(fn) -> int:
+    """Bytes fn holds at its tracemalloc peak beyond what was traced when it started."""
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+class TestPeakMemory:
+    def test_scratch_squares_bound_the_peak_at_2j_16(self):
+        t = to_tensor(random_density_matrix(8, np.random.default_rng(35)))
+        form = decompose(t)  # builds the cached tables first
+        assert form.present_ranks == tuple(range(1, 17)) and form.n_axes == 136
+        # numpy buffers the two broadcast inputs of an elementwise product, np.getbufsize() items each
+        buffered = 2 * np.getbufsize()  # items
+        # pairing: 16 rows of n = 32 points, so one (16, 32, 32) float square is 128 KiB; a call keeps three in its
+        # scratch block and one more as the argsort's indices; the buffers of a float product are counted as if
+        # live with all four, and 64 KiB for the bool masks and the per-state arrays
+        square = 16 * 32 * 32 * 8
+        assert traced_peak(lambda: decompose(t)) <= 4 * square + 8 * buffered + 64 * 1024
+        # invariants: n = 136 axes, one (136, 136) float square is 144.5 KiB; the call keeps one complex square
+        # (two float ones) for the products and one float square for their sum, then the n (n - 1) / 2 values;
+        # the buffers of a complex product as if live with all, and 32 KiB for the labels and the small arrays
+        square, values = 136 * 136 * 8, 136 * 135 // 2 * 8
+        assert traced_peak(lambda: enumerate_invariants(form)) <= 3 * square + values + 16 * buffered + 32 * 1024
 
 
 class TestVerifyInvariance:
