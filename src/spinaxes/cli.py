@@ -22,6 +22,7 @@ as nested [re, im] pairs, and optional ``label``/``source`` is also accepted.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -440,7 +441,9 @@ def cmd_make_state(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``spinaxes`` parser, built once per process and shared by every :func:`main` call; do not mutate it."""
     parser = argparse.ArgumentParser(
         prog="spinaxes",
         description="Axial decomposition and rotational invariants of spin-j density matrices.",

@@ -171,7 +171,11 @@ def _slf_polar_angles(p1: float, p2: float, two_theta: float) -> tuple[float, fl
 
 def _channel_stack(p1, p2, two_theta) -> np.ndarray:
     """(N, 3, 3) stack of :func:`channel_mixed` matrices of items (p1[i], p2[i], two_theta[i]), checked in one pass."""
-    p = _channel_array(p1, p2, two_theta)
+    return _channel_matrices(_channel_array(p1, p2, two_theta))
+
+
+def _channel_matrices(p: np.ndarray) -> np.ndarray:
+    """The (N, 3, 3) stack of :func:`_channel_stack` for an (N, 3) array of items already range-checked."""
     polar = np.array(list(map(_slf_polar_angles, *p.T.tolist()))).reshape(-1, 2)  # libm bits, not arctan2's
     # Bloch vector components of both beams (azimuths 0 and pi) of every item, each of shape (N, 2)
     nx, ny, nz = np.moveaxis(p[:, :2, None] * unit_vector(polar, np.array([0.0, math.pi])), -1, 0)
@@ -189,7 +193,8 @@ def channel_mixed(params: ChannelParams) -> DensityMatrix:
     product state is then projected onto the spin-1 subspace. At p1 = p2 = 1
     this reduces exactly to :func:`pure_two_spinor`.
     """
-    return DensityMatrix(_channel_stack([params.p1], [params.p2], [params.two_theta])[0], HalfInt(2))
+    items = np.array([[params.p1, params.p2, params.two_theta]], dtype=float)  # checked when params was built
+    return DensityMatrix(_channel_matrices(items)[0], HalfInt(2))
 
 
 class PptResult(NamedTuple):

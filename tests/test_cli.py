@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -32,6 +33,56 @@ class TestImport:
         if bare == "True":
             pytest.skip("this numpy loads numpy.random on import")
         assert loaded == "False"
+
+
+class TestSharedParser:
+    """main parses every call with one parser per process; nothing may carry over from one call to the next."""
+
+    def test_second_main_call_builds_no_parser(self, capsys, monkeypatch):
+        built = []
+        real_init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        argparse.ArgumentParser(prog="probe")
+        assert built == ["probe"]
+        argv = ["make-state", "pure", "--theta", "0.5"]
+        first = run(capsys, argv)
+        del built[:]
+        assert run(capsys, argv) == first
+        assert built == []
+
+    def test_omitted_p2_falls_back_after_a_call_that_set_it(self, capsys):
+        code, out, _ = run(capsys, ["make-state", "mixed", "--p", "0.6", "--p2", "0.3", "--theta", "40deg"])
+        assert code == 0 and "p1 = 0.6, p2 = 0.3," in out
+        code, out, _ = run(capsys, ["make-state", "mixed", "--p", "0.6", "--theta", "40deg"])
+        assert code == 0 and "p1 = 0.6, p2 = 0.6," in out
+
+    def test_plain_selfcheck_passes_after_an_injected_fault(self, capsys):
+        code, out, _ = run(capsys, ["selfcheck", "--trials", "0", "--inject-fault", "tau-norm"])
+        assert code == 1 and "selfcheck: FAIL" in out
+        code, out, _ = run(capsys, ["selfcheck"])
+        assert code == 0 and "rotation-invariance" in out and out.endswith("selfcheck: PASS\n")
+
+    def test_sweep_after_usage_errors_and_help_matches_a_fresh_process(self, tmp_path, capsys):
+        grid = ["--p", "0:1:3", "--theta", "0deg:180deg:4"]
+        fresh = tmp_path / "fresh.csv"
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(spinaxes.__file__)))
+        subprocess.run([sys.executable, "-m", "spinaxes.cli", "sweep", *grid, "--out", str(fresh)],
+                       env=env, capture_output=True, check=True)
+        out = tmp_path / "grid.csv"
+        for argv, status in ((["sweep", "--p", "0:1:3", "--out", str(out)], 2), (["sweep", *grid, "--bogus"], 2),
+                             (["make-state", "neither", "--theta", "0"], 2), (["--help"], 0), (["sweep", "--help"], 0)):
+            with pytest.raises(SystemExit) as info:
+                cli.main(argv)
+            assert info.value.code == status
+            capsys.readouterr()
+            assert run(capsys, ["sweep", *grid, "--out", str(out)]) == (0, f"wrote 12 rows to {out}\n", "")
+            assert out.read_bytes() == fresh.read_bytes()
+            out.unlink()
 
 
 class TestParsing:
