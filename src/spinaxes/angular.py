@@ -181,8 +181,9 @@ def wigner_d_small(j, mp, m, theta: float) -> float:
     tj, tmp, tm = _twice(j), _twice(mp), _twice(m)
     _check_projection(tj, tmp, "m', j")
     _check_projection(tj, tm, "m, j")
+    _, cos_pow, sin_pow, _ = _rotation_factors(tj, 0.0, theta, 0.0)
     row = (tj - tmp) // 2 * (tj + 1) + (tj - tm) // 2
-    return float(np.einsum("en,n->e", _wigner_d_table(tj)[row:row + 1], _monomials(tj, theta))[0])
+    return float(np.einsum("en,n->e", _wigner_d_table(tj)[row:row + 1], cos_pow[::-1] * sin_pow)[0])
 
 
 def wigner_D(k, qp, q, phi: float, theta: float, psi: float) -> complex:
@@ -192,6 +193,7 @@ def wigner_D(k, qp, q, phi: float, theta: float, psi: float) -> complex:
     phases computed and multiplied as the matrix does.
     Accepts half-integer ranks so the same routine serves spin-j rotations.
     """
+    _check_angles(phi=phi, theta=theta, psi=psi)
     d = wigner_d_small(k, qp, q, theta)
     return complex((_phases(np.array([_twice(qp) / 2.0]), phi) * d * _phases(np.array([_twice(q) / 2.0]), psi))[0])
 
@@ -223,10 +225,11 @@ def _wigner_d_table(tj: int) -> np.ndarray:
     return table
 
 
-def _monomials(tj: int, theta: float) -> np.ndarray:
-    """cos(theta/2)^(2j-n) sin(theta/2)^n for n = 0 ... 2j, the monomials of the Wigner sum."""
-    powers = np.arange(tj + 1)
-    return math.cos(theta / 2.0) ** powers[::-1] * math.sin(theta / 2.0) ** powers
+def _check_angles(**angles: float) -> None:
+    """Raise DomainError naming the first of the given Euler angles that is not finite."""
+    for name, value in angles.items():
+        if not math.isfinite(value):
+            raise DomainError(f"Euler angle {name}={value} is not finite")
 
 
 def _phases(m: np.ndarray, angle: float) -> np.ndarray:
@@ -234,18 +237,31 @@ def _phases(m: np.ndarray, angle: float) -> np.ndarray:
     return np.exp(-1j * m * angle)
 
 
-def wigner_D_matrix(j, phi: float, theta: float, psi: float) -> np.ndarray:
-    """Full (2j+1) x (2j+1) Wigner D matrix, rows/columns ordered m = +j ... -j."""
-    tj = _twice(j)
-    if tj < 0:
-        raise DomainError(f"angular momentum must be non-negative, got j={HalfInt(tj)}")
+def _rotation_factors(top: int, phi: float, theta: float, psi: float) -> tuple:
+    """exp(-i m phi), cos(theta/2)^n, sin(theta/2)^n and exp(-i m psi) for m = top/2 ... -top/2, n = 0 ... top."""
+    _check_angles(phi=phi, theta=theta, psi=psi)
+    m, powers = np.arange(top, -top - 2, -2) / 2.0, np.arange(top + 1)
+    return _phases(m, phi), math.cos(theta / 2.0) ** powers, math.sin(theta / 2.0) ** powers, _phases(m, psi)
+
+
+def _wigner_D_rule(tj: int, factors: tuple) -> np.ndarray:
+    """D^j for j = tj/2 from the Wigner table and slices of :func:`_rotation_factors` of a top >= tj, same parity."""
+    phase_phi, cos_pow, sin_pow, phase_psi = factors
     dim = tj + 1
+    m = slice((len(phase_phi) - dim) // 2, (len(phase_phi) + dim) // 2)  # m = +j ... -j
     # einsum, not the BLAS matrix-vector product: near theta = pi/2 at 2j = 32
     # the terms reach 1e4 and cancel, and the BLAS summation order loses about
     # twice as much there
-    d = np.einsum("en,n->e", _wigner_d_table(tj), _monomials(tj, theta)).reshape(dim, dim)
-    m = np.arange(tj, -tj - 2, -2) / 2.0
-    return _phases(m, phi)[:, None] * d * _phases(m, psi)[None, :]
+    d = np.einsum("en,n->e", _wigner_d_table(tj), cos_pow[tj::-1] * sin_pow[:dim]).reshape(dim, dim)
+    return phase_phi[m, None] * d * phase_psi[None, m]
+
+
+def wigner_D_matrix(j, phi: float, theta: float, psi: float) -> np.ndarray:
+    """Full (2j+1) x (2j+1) Wigner D matrix, rows/columns ordered m = +j ... -j, by the D rule rotate_tensor shares."""
+    tj = _twice(j)
+    if tj < 0:
+        raise DomainError(f"angular momentum must be non-negative, got j={HalfInt(tj)}")
+    return _wigner_D_rule(tj, _rotation_factors(tj, phi, theta, psi))
 
 
 def tensor_index(k: int, q: int) -> int:
@@ -341,7 +357,7 @@ def couple(a, b, rank: int) -> np.ndarray:
     x, y = weight * a[..., i1], b[..., i2]  # exact as in the scalar product: one factor is real
     # (cg a_q1) b_q2 with the real and imaginary parts written out: numpy's
     # complex array product may fuse multiply-adds, its scalar product does not
-    terms = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=complex)
+    terms = np.empty(x.shape if x.shape == y.shape else np.broadcast(x, y).shape, dtype=complex)
     np.subtract(x.real * y.real, x.imag * y.imag, out=terms.real)
     np.add(x.real * y.imag, x.imag * y.real, out=terms.imag)
     out = 0.0  # summed from zero in scan order, as a scalar accumulator would
@@ -383,7 +399,8 @@ def angle_between(a, b) -> float:
 
 
 def euler_rotation_cartesian(phi: float, theta: float, psi: float) -> np.ndarray:
-    """3x3 rotation matrix Rz(phi) Ry(theta) Rz(psi) for the z-y-z Euler convention."""
+    """3x3 rotation matrix Rz(phi) Ry(theta) Rz(psi), z-y-z Euler convention; non-finite angles raise DomainError."""
+    _check_angles(phi=phi, theta=theta, psi=psi)
 
     def rz(a):
         c, s = math.cos(a), math.sin(a)

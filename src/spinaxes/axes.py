@@ -362,9 +362,9 @@ def _root_points(coeffs: np.ndarray, deficiency: np.ndarray, ks: np.ndarray) -> 
     Row i of the (rows, 2 max(ks), 2) result holds its 2 ks[i] points. As
     np.roots does, exact zeros at either end of C_0 ... C_degree are
     stripped from the companion matrix, the low ones becoming roots at Z = 0; rows are grouped in a dict by rank,
-    degree and stripped span (found for all rows at once), one eigensolve per group; then the roots of all rows
-    are sorted, checked and converted in one pass each. A row whose eigensolve does not converge, else the
-    lowest row with a root missing the residual bound, raises.
+    degree and stripped span (found for all rows at once, as are the companion first rows), one eigensolve per
+    group; then the roots of all rows are sorted, checked and converted in one pass each. A row whose eigensolve
+    does not converge, else the lowest row with a root missing the residual bound, raises.
     """
     degrees = 2 * ks - deficiency
     real = np.zeros((len(ks), 2 * int(ks.max())), dtype=bool)  # the finite roots, after the deficiency roots
@@ -372,6 +372,10 @@ def _root_points(coeffs: np.ndarray, deficiency: np.ndarray, ks: np.ndarray) -> 
     cols = np.arange(coeffs.shape[1])
     nonzero = (coeffs != 0) & (cols <= degrees[:, None])  # in C_0 ... C_degree; none gives the span [0, 0]
     first, last = np.argmax(nonzero, axis=1), (cols * nonzero).max(axis=1)
+    # companion first rows -C_{high-1} ... -C_low over C_high, read up to each span; a row of zeros has no span
+    top = np.take_along_axis(coeffs, last[:, None], axis=1)
+    first_rows = -np.take_along_axis(coeffs, last[:, None] - 1 - cols[:-1], axis=1)  # -C_{high-1}, -C_{high-2} ...
+    first_rows /= np.where(top == 0, 1.0, top)
     groups = {}
     for row, key in enumerate(zip(ks.tolist(), degrees.tolist(), first.tolist(), last.tolist())):
         groups.setdefault(key, []).append(row)
@@ -379,10 +383,9 @@ def _root_points(coeffs: np.ndarray, deficiency: np.ndarray, ks: np.ndarray) -> 
         real[rows, 2 * k - degree:2 * k] = high > 0  # C_0 alone: no finite root, every point at (0, 0)
         size = high - low
         if size:
-            highest_first = coeffs[rows, low:high + 1][:, ::-1]
             companion = np.zeros((len(rows), size, size), dtype=complex)
             companion.reshape(len(rows), -1)[:, size::size + 1] = 1.0  # the subdiagonal
-            companion[:, 0, :] = -highest_first[:, 1:] / highest_first[:, :1]
+            companion[:, 0, :] = first_rows[rows, :size]
             zs[rows, 2 * k - degree:2 * k - degree + size] = _eigvals(companion, rows, coeffs[:, :2 * k + 1], k)
     row, z = np.nonzero(real)[0], zs[real]
     z = z[np.lexsort((z.imag, z.real, row))]  # each row's roots by real, then imaginary part, stable
@@ -470,15 +473,17 @@ def _polar(vecs: np.ndarray) -> np.ndarray:
 def _pairings(points: np.ndarray, ks: np.ndarray) -> np.ndarray:
     """Antipodal pairing of stacked root-point sets, row i holding 2 ks[i] points (theta, phi), zero-padded.
 
-    Each set is paired as :func:`pair_and_canonicalize` describes, by one stable argsort of all mismatches and a
-    greedy scan (none for two points); padded points get mismatch +inf and join no cluster. Returns the (theta, phi)
-    of each set's ks[i] axes, zero-padded to (rows, points.shape[1] // 2, 2). Raises the DecompositionError of the
-    lowest set holding a non-finite point, else of the lowest set with a point that has no antipodal partner.
+    Each set is paired as :func:`pair_and_canonicalize` describes, by one stable argsort of the mismatches of its
+    pairs i < j and a greedy scan (none for two points); padded points get mismatch +inf and join no cluster.
+    Returns the (theta, phi) of each set's ks[i] axes, zero-padded to (rows, points.shape[1] // 2, 2). Raises the
+    DecompositionError of the lowest set holding a non-finite point, else of the lowest set with a point that has
+    no antipodal partner.
 
     Scratch: one (3, rows, n, n) float block, allocated per call, holds |v_i x v_j|, v_i . v_j and a spare square;
-    every elementwise pass writes into it with ``out=``, the spare ending as the mismatches. The stable argsort
-    adds one (rows, n * n) index array. Cluster sizes are counted only for sets with a picked pair beyond
-    PAIRING_TOL, since the widened tolerance is never below it.
+    every elementwise pass writes into it with ``out=``, the spare ending as the mismatches. The argsort sorts only
+    the n (n - 1) / 2 pairs i < j, gathered in row-major order through a cached index: the gathered mismatches and
+    their order add two (rows, n (n - 1) / 2) arrays, just under one square. Cluster sizes are counted only for
+    sets with a picked pair beyond PAIRING_TOL, since the widened tolerance is never below it.
     """
     count, n = points.shape[:2]
     real = np.arange(n) < 2 * ks[:, None]
@@ -502,15 +507,16 @@ def _pairings(points: np.ndarray, ks: np.ndarray) -> np.ndarray:
     np.matmul(vecs, vecs.transpose(0, 2, 1), out=dots)
     mismatch = np.arctan2(cross, np.negative(dots, out=spare), out=spare)
     both = real[:, :, None] & real[:, None, :]
-    mismatch[~both | np.tri(n, dtype=bool)] = np.inf  # only pairs i < j of real points
-    ranked = np.argsort(mismatch.reshape(count, n * n), axis=1, kind="stable")  # ties in row-major order
+    mismatch[~both] = np.inf  # padded points pair with none
+    upper = _upper_pairs(n)
+    ranked = np.argsort(mismatch.reshape(count, n * n)[:, upper], axis=1, kind="stable")  # ties in row-major order
     picks = []
     for row, k in enumerate(ks.tolist()):
         if k == 1:  # the only real pair, (0, 1), needs no scan
             picks.append(1)
             continue
         free, done = [True] * (2 * k), len(picks) + k
-        for pick in ranked[row, :k * (2 * k - 1)].tolist():  # the real pairs i < j
+        for pick in upper[ranked[row, :k * (2 * k - 1)]].tolist():  # the real pairs i < j, as i * n + j
             i, j = divmod(pick, n)
             if free[i] and free[j]:
                 free[i] = free[j] = False
@@ -548,6 +554,14 @@ def _pairings(points: np.ndarray, ks: np.ndarray) -> np.ndarray:
     keyed[several, :2] = np.reshape(list(map(round, keyed[several, 2:].ravel().tolist(), repeat(9))), (-1, 2))
     order = np.lexsort((*keyed[..., ::-1].transpose(2, 0, 1), ~paired), axis=-1)
     return keyed[every[:, None], order, 2:]
+
+
+@lru_cache(maxsize=None)
+def _upper_pairs(n: int) -> np.ndarray:
+    """Read-only flat positions i * n + j of the pairs i < j of n points, in row-major order."""
+    flat = np.flatnonzero(~np.tri(n, dtype=bool))
+    flat.setflags(write=False)
+    return flat
 
 
 def _angle_rows(axes_rows: list) -> tuple[np.ndarray, np.ndarray]:
@@ -606,11 +620,14 @@ def _scales(targets: np.ndarray, angles: np.ndarray, ks: np.ndarray) -> tuple:
 
 
 def reconstruct_tensor(form: MultiaxialForm) -> TensorComponents:
-    """Rebuild t[k,q] = r_k P[k,q] from the axes, all ranks in one coupling chain; absent ranks give zeros."""
-    decs = [form.ranks.get(k) for k in range(1, form.j.twice + 1)]
-    present = [dec.axes for dec in decs if dec is not None]
-    prods = iter(_coupled(*_angle_rows(present)) if present else ())
-    blocks = [np.ones(1)]
-    for k, dec in enumerate(decs, start=1):
-        blocks.append(np.zeros(2 * k + 1) if dec is None else dec.r * next(prods)[:2 * len(dec.axes) + 1])
-    return TensorComponents(form.j, np.concatenate(blocks))
+    """Rebuild t[k,q] = r_k P[k,q]: all ranks in one coupling chain, one scale, one scatter; absent ranks give 0."""
+    decs = {k: dec for k in range(1, form.j.twice + 1) if (dec := form.ranks.get(k)) is not None}
+    out = np.zeros((form.j.twice + 1) ** 2, dtype=complex)
+    out[0] = 1.0
+    if decs:
+        angles, ks = _angle_rows([dec.axes for dec in decs.values()])
+        prods = np.array([dec.r for dec in decs.values()])[:, None] * _coupled(angles, ks)
+        cols = np.arange(prods.shape[1])
+        within = cols <= 2 * ks[:, None]  # each row's q = +k ... -k, then padding
+        out[(np.square(list(decs))[:, None] + cols)[within]] = prods[within]
+    return TensorComponents(form.j, out)

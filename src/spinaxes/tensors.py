@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .angular import HalfInt, _tensor_operator_cached, tensor_index, wigner_D_matrix
+from .angular import HalfInt, _rotation_factors, _tensor_operator_cached, _wigner_D_rule, tensor_index, wigner_D_matrix
 from .errors import DomainError, ValidationError
 
 __all__ = [
@@ -222,21 +222,25 @@ def from_tensor(t: TensorComponents) -> DensityMatrix:
     Positivity is not checked; inspect DensityMatrix.min_eigenvalue() for that.
     """
     t.validate(RESUM_TOL)
-    # sum t tau^dag = (sum conj(t) tau)^dag, which needs no conjugated copy of the basis
-    acc = np.tensordot(t.array.conj(), _tensor_operator_cached(t.j.twice), axes=1).conj().T
-    return DensityMatrix(acc / (t.j.twice + 1), t.j, tol=RESUM_TOL)
+    dim = t.j.twice + 1
+    # sum t tau^dag = (sum conj(t) tau)^dag, which needs no conjugated copy of the basis; tensordot's (1, d^2) product
+    acc = (t.array.conj()[None] @ _tensor_operator_cached(t.j.twice).reshape(dim * dim, -1)).reshape(dim, dim)
+    return DensityMatrix(acc.conj().T / dim, t.j, tol=RESUM_TOL)
 
 
 def rotate_tensor(t: TensorComponents, phi: float, theta: float, psi: float) -> TensorComponents:
     """Components of the same state in a frame rotated by the Euler angles.
 
     Each rank rotates independently: t'[k,q] = sum_q' D[k][q',q] t[k,q'],
-    which preserves the per-rank norms sum_q |t[k,q]|^2.
+    which preserves the per-rank norms sum_q |t[k,q]|^2. Phases and half-angle
+    powers are computed once; each D[k] is formed from their slices by the rule
+    of :func:`wigner_D_matrix`, with its bits.
     """
-    blocks = [t.rank_array(0)]
+    factors = _rotation_factors(2 * t.j.twice, phi, theta, psi)
+    out = t.array.copy()
     for k in range(1, t.j.twice + 1):
-        blocks.append(wigner_D_matrix(k, phi, theta, psi).T @ t.rank_array(k))
-    return TensorComponents(t.j, np.concatenate(blocks))
+        out[k * k:(k + 1) ** 2] = _wigner_D_rule(2 * k, factors).T @ t.array[k * k:(k + 1) ** 2]
+    return TensorComponents(t.j, out)
 
 
 def rotate_density(rho: DensityMatrix, phi: float, theta: float, psi: float) -> DensityMatrix:

@@ -179,6 +179,19 @@ class TestWignerD:
         with pytest.raises(DomainError):
             wigner_D_matrix(HalfInt(-1), 0.0, 0.5, 0.0)
 
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_euler_angles_raise_naming_the_angle(self, slot, bad):
+        angles = [0.3, 1.1, -2.0]
+        angles[slot] = bad
+        calls = [lambda: wigner_D_matrix(1, *angles), lambda: wigner_D_matrix(HalfInt(3), *angles),
+                 lambda: wigner_D(1, 1, 0, *angles), lambda: euler_rotation_cartesian(*angles)]
+        if slot == 1:
+            calls.append(lambda: wigner_d_small(1, 1, 0, bad))
+        for call in calls:
+            with pytest.raises(DomainError, match=f"Euler angle {('phi', 'theta', 'psi')[slot]}={bad} is not finite"):
+                call()
+
     def test_capital_d_identity_and_zero_row(self):
         assert wigner_D(2, 1, 1, 0, 0, 0) == pytest.approx(1.0)
         assert wigner_D(2, 1, 0, 0, 0, 0) == pytest.approx(0.0)

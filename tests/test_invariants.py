@@ -192,8 +192,9 @@ class TestPeakMemory:
         # numpy buffers the two broadcast inputs of an elementwise product, np.getbufsize() items each
         buffered = 2 * np.getbufsize()  # items
         # pairing: 16 rows of n = 32 points, so one (16, 32, 32) float square is 128 KiB; a call keeps three in its
-        # scratch block and one more as the argsort's indices; the buffers of a float product are counted as if
-        # live with all four, and 64 KiB for the bool masks and the per-state arrays
+        # scratch block, and the argsort of the n (n - 1) / 2 pairs i < j adds their gathered mismatches and their
+        # order, just under one more; the buffers of a float product are counted as if live with all four, and
+        # 64 KiB for the bool masks and the per-state arrays
         square = 16 * 32 * 32 * 8
         assert traced_peak(lambda: decompose(t)) <= 4 * square + 8 * buffered + 64 * 1024
         # invariants: n = 136 axes, one (136, 136) float square is 144.5 KiB; the call keeps one complex square

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from spinaxes.angular import HalfInt, tensor_operator, wigner_D_matrix
+from spinaxes.angular import HalfInt, _tensor_operator_cached, tensor_operator, wigner_D_matrix
 from spinaxes.errors import DomainError, ValidationError
 from spinaxes.tensors import (
     DensityMatrix,
@@ -18,6 +18,11 @@ from spinaxes.tensors import (
 )
 
 BELL_LIKE = np.array([[0.5, 0.0, -0.5], [0.0, 0.0, 0.0], [-0.5, 0.0, 0.5]])
+
+
+def bits(array):
+    """The array's entries as uint64 words, so that equality also tells signed zeros and NaN payloads apart."""
+    return np.ascontiguousarray(array).view(np.uint64)
 
 
 def random_state(rng, dim):
@@ -265,6 +270,13 @@ class TestFromTensor:
                       for k in range(dim) for q in range(-k, k + 1))
             assert dev < 1e-12
 
+    def test_matches_the_tensordot_form_bit_for_bit(self):
+        rng = np.random.default_rng(52)
+        for tj in range(1, 17):
+            t = random_tensor_components(HalfInt(tj), rng, scale=0.2)
+            acc = np.tensordot(t.array.conj(), _tensor_operator_cached(tj), axes=1).conj().T
+            assert np.array_equal(bits(from_tensor(t).matrix), bits(acc / (tj + 1)))
+
     def test_rejects_conjugation_violation(self):
         t = TensorComponents(1, {(1, 1): 0.5, (1, -1): 0.5})
         with pytest.raises(ValidationError):
@@ -314,6 +326,30 @@ class TestRotateTensor:
             assert np.max(np.abs(from_tensor(t_rot).matrix - rho_rot.matrix)) < 1e-10
             u = wigner_D_matrix(rho.j, *angles)
             assert np.max(np.abs(rho_rot.matrix - u.conj().T @ rho.matrix @ u)) < 1e-14
+
+    def test_matches_per_rank_wigner_D_matrix_bit_for_bit(self):
+        # the phases and half-angle powers are built once per call and sliced per rank
+        rng = np.random.default_rng(51)
+        for tj in range(1, 17):
+            t = random_tensor_components(HalfInt(tj), rng)
+            for angles in [(rng.uniform(-7, 7), 0.0, rng.uniform(-7, 7)),
+                           (rng.uniform(-7, 7), math.pi, rng.uniform(-7, 7)),
+                           tuple(-rng.uniform(0, 2 * math.pi, size=3)),
+                           tuple(rng.uniform(2 * math.pi, 20, size=3))]:
+                expected = [t.rank_array(0)] + [wigner_D_matrix(k, *angles).T @ t.rank_array(k)
+                                                for k in range(1, tj + 1)]
+                assert np.array_equal(bits(rotate_tensor(t, *angles).array), bits(np.concatenate(expected)))
+
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_euler_angles_raise_naming_the_angle(self, slot, bad):
+        angles = [0.3, 1.1, -2.0]
+        angles[slot] = bad
+        message = f"Euler angle {('phi', 'theta', 'psi')[slot]}={bad} is not finite"
+        with pytest.raises(DomainError, match=message):
+            rotate_tensor(random_tensor_components(HalfInt(3), np.random.default_rng(53)), *angles)
+        with pytest.raises(DomainError, match=message):
+            rotate_density(DensityMatrix.maximally_mixed(1.5), *angles)
 
     def test_rank_norms_preserved(self):
         rng = np.random.default_rng(15)
