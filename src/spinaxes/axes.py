@@ -19,8 +19,8 @@ Every stage works on all (item, rank) rows of an (N, (2j+1)^2) component
 stack in one pass, and the core returns arrays (:func:`_decompose_stack`);
 the single-item functions run the same code on a stack of one. Root points
 and axes travel as zero-padded (theta, phi) arrays, one row per (item, rank).
-Only :func:`decompose_many` builds Axis, RankDecomposition and MultiaxialForm
-objects, and functions given Axis objects read their angles into one array.
+A RankDecomposition holds its axes as a read-only (k, 2) array of (theta, phi), from
+:func:`decompose_many` a view into the core's angles; it builds Axis objects only when asked for ``axes``.
 """
 
 import cmath
@@ -111,6 +111,8 @@ class RankPolynomial:
             raise DomainError(f"rank-{self.k} polynomial needs {2 * self.k + 1} coefficients")
         if not np.isfinite(arr).all():
             raise ValidationError(f"rank-{self.k} polynomial has non-finite coefficients {arr!r}")
+        if not arr.any():
+            raise DomainError(f"rank-{self.k} polynomial has only zero coefficients: an absent rank has no root set")
         count = int(_deficiencies(arr[None], np.array([self.k]))[0])
         if self.degree_deficiency != count:
             raise DomainError(f"coefficients {arr!r} have degree deficiency {count}, not {self.degree_deficiency}")
@@ -119,22 +121,36 @@ class RankPolynomial:
         object.__setattr__(self, "coefficients", arr)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RankDecomposition:
-    """k axes, the non-negative scale r_k, and the reconstruction residual for one rank."""
+    """k axes as a read-only (k, 2) ``angles`` of (theta, phi), or given as Axis; r_k >= 0, flipped and residual."""
 
-    axes: tuple[Axis, ...]
+    angles: np.ndarray
     r: float
     flipped: bool
     residual: float
 
+    def __post_init__(self):
+        object.__setattr__(self, "angles", _as_angles(self.angles))
+
+    @property
+    def axes(self) -> tuple[Axis, ...]:
+        return tuple(Axis(theta, phi) for theta, phi in self.angles.tolist())
+
 
 @dataclass(frozen=True, eq=False)
 class MultiaxialForm:
-    """Axes and scales for every rank 1 ... 2j; ``None`` marks an absent rank."""
+    """Axes and scales for ranks 1 ... 2j, rank k holding k axes (else DomainError); ``None`` marks an absent rank."""
 
     j: HalfInt
     ranks: dict
+
+    def __post_init__(self):
+        for k, dec in self.ranks.items():
+            if k not in range(1, self.j.twice + 1):
+                raise DomainError(f"rank {k!r} outside 1 <= k <= 2j for j={self.j}")
+            if dec is not None and dec.angles.shape != (k, 2):
+                raise DomainError(f"rank {k} needs exactly {k} axes, got (theta, phi) of shape {dec.angles.shape}")
 
     def rank(self, k: int):
         return self.ranks[k]
@@ -149,7 +165,7 @@ class MultiaxialForm:
 
     @property
     def n_axes(self) -> int:
-        return sum(len(self.ranks[k].axes) for k in self.present_ranks)
+        return sum(len(self.ranks[k].angles) for k in self.present_ranks)
 
 
 def build_polynomial(t: TensorComponents, k: int):
@@ -192,8 +208,8 @@ def pair_and_canonicalize(points) -> list[Axis]:
     m-fold root cluster is only accurate to about eps^(1/m), so the matching
     tolerance widens from PAIRING_TOL accordingly. The representative is the
     pair member with z > 0 (ties broken by x, then y), and the result is
-    sorted by (theta, phi). Unpairable points signal a conjugation-symmetry
-    violation upstream and raise DecompositionError, as do non-finite ones.
+    sorted by (theta, phi) rounded to 9 decimals, then by the exact (theta, phi). Unpairable points signal
+    a conjugation-symmetry violation upstream and raise DecompositionError, as do non-finite ones.
     """
     pts = list(points)
     if len(pts) % 2:
@@ -210,7 +226,10 @@ def coupled_axes_tensor(axes) -> np.ndarray:
     Rank equals the number of axes; the result is symmetric under axis
     reordering and flips sign when any single axis is inverted.
     """
-    return _coupled(*_angle_rows([list(axes)]))[0]
+    angles = _as_angles(axes)
+    if not len(angles):
+        raise DomainError("need at least one axis")
+    return _coupled(angles[None], np.array([len(angles)]))[0]
 
 
 def scalar_r(t: TensorComponents, k: int, axes) -> tuple[float, bool, float]:
@@ -221,10 +240,10 @@ def scalar_r(t: TensorComponents, k: int, axes) -> tuple[float, bool, float]:
     the last axis (flipped=True), keeping r >= 0. The residual is
     max_q |t[k,q] - r P[k,q]| after any flip.
     """
-    axes = list(axes)
-    if len(axes) != k:
-        raise DomainError(f"rank {k} needs exactly {k} axes, got {len(axes)}")
-    r, flipped, residual = _scales(t.rank_array(k)[None], *_angle_rows([axes]))
+    angles = _as_angles(axes)
+    if len(angles) != k:
+        raise DomainError(f"rank {k} needs exactly {k} axes, got {len(angles)}")
+    r, flipped, residual = _scales(t.rank_array(k)[None], angles[None], np.array([k]))
     return float(r[0]), bool(flipped[0]), float(residual[0])
 
 
@@ -254,10 +273,12 @@ def decompose_many(ts) -> list[MultiaxialForm]:
     for t in ts:
         if t.j != j:
             raise DomainError(f"decompose_many needs tensors of one j, got j={j} and j={t.j}")
+    flags, angles, *scales = _decompose_stack(np.array([t.array for t in ts]), j.twice)
+    angles.setflags(write=False)  # each rank's angles are a view of it
     forms = []
-    for item in zip(*(array.tolist() for array in _decompose_stack(np.array([t.array for t in ts]), j.twice))):
-        ranks = {k: RankDecomposition(tuple(Axis(theta, phi) for theta, phi in pairs[:k]), r, flipped, residual)
-                 if present else None for k, (present, pairs, r, flipped, residual) in enumerate(zip(*item), start=1)}
+    for item, row in zip(angles, zip(*(array.tolist() for array in (flags, *scales)))):
+        ranks = {k: RankDecomposition(item[k - 1, :k], r, flipped, residual) if present else None
+                 for k, (present, r, flipped, residual) in enumerate(zip(*row), start=1)}
         forms.append(MultiaxialForm(j=j, ranks=ranks))
     return forms
 
@@ -564,13 +585,13 @@ def _upper_pairs(n: int) -> np.ndarray:
     return flat
 
 
-def _angle_rows(axes_rows: list) -> tuple[np.ndarray, np.ndarray]:
-    """(theta, phi) of stacked axis sets, zero-padded to shape (sets, largest set, 2), and each set's size."""
-    ks = [len(axes) for axes in axes_rows]
-    if not min(ks):
-        raise DomainError("need at least one axis")
-    pad = [(0.0, 0.0)] * max(ks)
-    return np.array([[(ax.theta, ax.phi) for ax in axes] + pad[len(axes):] for axes in axes_rows]), np.array(ks)
+def _as_angles(axes) -> np.ndarray:
+    """A sequence of Axis, or an array of (theta, phi) rows, as a read-only float array; a read-only one is kept."""
+    if isinstance(axes, np.ndarray) and axes.dtype == float and not axes.flags.writeable:
+        return axes
+    angles = np.array(axes if isinstance(axes, np.ndarray) else [(ax.theta, ax.phi) for ax in axes], dtype=float)
+    angles.setflags(write=False)
+    return angles
 
 
 def _coupled(angles: np.ndarray, ks: np.ndarray) -> np.ndarray:
@@ -625,7 +646,9 @@ def reconstruct_tensor(form: MultiaxialForm) -> TensorComponents:
     out = np.zeros((form.j.twice + 1) ** 2, dtype=complex)
     out[0] = 1.0
     if decs:
-        angles, ks = _angle_rows([dec.axes for dec in decs.values()])
+        ks = np.array(list(decs))
+        angles = np.zeros((len(ks), ks[-1], 2))
+        angles[np.arange(ks[-1]) < ks[:, None]] = np.concatenate([dec.angles for dec in decs.values()])
         prods = np.array([dec.r for dec in decs.values()])[:, None] * _coupled(angles, ks)
         cols = np.arange(prods.shape[1])
         within = cols <= 2 * ks[:, None]  # each row's q = +k ... -k, then padding

@@ -167,17 +167,13 @@ def _read_state_text(path: str):
                 numbers = [float(v) for v in values]
             except ValueError as exc:
                 raise StateFileError(f"non-numeric entry: {exc}", line=lineno) from exc
-            rows.append((lineno, numbers))
+            rows.append(numbers)
     if header is None:
         raise StateFileError("empty state file (no 'j <twice_j>' header)")
     dim = header + 1
     if len(rows) != dim:
         raise StateFileError(f"expected {dim} matrix rows, found {len(rows)}")
-    mat = np.zeros((dim, dim), dtype=complex)
-    for r, (lineno, numbers) in enumerate(rows):
-        for c in range(dim):
-            mat[r, c] = complex(numbers[2 * c], numbers[2 * c + 1])
-    return DensityMatrix(mat, HalfInt(header)), metadata
+    return DensityMatrix(np.array(rows).view(complex), HalfInt(header)), metadata  # re, im pairs
 
 
 def write_state_file(handle, rho: DensityMatrix, metadata=None) -> None:
@@ -199,9 +195,7 @@ def _analyze_payload(rho: DensityMatrix, metadata) -> dict:
         "j": str(rho.j),
         "dim": rho.dim,
         "min_eigenvalue": rho.min_eigenvalue(),
-        "tensor": {
-            f"{k},{q}": [value.real, value.imag] for (k, q), value in t.items()
-        },
+        "tensor": {f"{k},{q}": [value.real, value.imag] for (k, q), value in t.items()},
         "ranks": {},
         "invariants": {
             "count": inv.count,
@@ -215,17 +209,9 @@ def _analyze_payload(rho: DensityMatrix, metadata) -> dict:
     }
     for k in sorted(form.ranks):
         dec = form.ranks[k]
-        if dec is None:
-            payload["ranks"][str(k)] = None
-            continue
-        payload["ranks"][str(k)] = {
-            "r": dec.r,
-            "flipped": dec.flipped,
-            "residual": dec.residual,
-            "axes": [
-                {"theta": ax.theta, "phi": ax.phi, "xyz": [float(v) for v in ax.cartesian]}
-                for ax in dec.axes
-            ],
+        payload["ranks"][str(k)] = None if dec is None else {
+            "r": dec.r, "flipped": dec.flipped, "residual": dec.residual,
+            "axes": [{"theta": ax.theta, "phi": ax.phi, "xyz": ax.cartesian.tolist()} for ax in dec.axes],
         }
     return payload
 

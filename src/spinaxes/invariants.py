@@ -84,8 +84,7 @@ def enumerate_invariants(form: MultiaxialForm) -> InvariantSet:
     """
     ranks = form.present_ranks
     labels = tuple((k, i) for k in ranks for i in range(k))  # rank k has k axes
-    values, abs_cos = _invariant_stack(np.reshape([(ax.theta, ax.phi) for k in ranks for ax in form.ranks[k].axes],
-                                                  (1, len(labels), 2)))
+    values, abs_cos = _invariant_stack(np.concatenate([form.ranks[k].angles for k in ranks] or [np.empty((0, 2))])[None])
     return InvariantSet(j=form.j, scalars=form.scalars, values=values[0], abs_cosines=abs_cos[0],
                         axis_labels=labels, count=len(ranks) + values.shape[1])
 
@@ -190,9 +189,7 @@ def verify_invariance(rho: DensityMatrix, trials: int = 50, seed: int = 0) -> In
     base_scalars = dict(base_inv.scalars)
     base_abs = base_inv.pairwise_abs_sorted()
 
-    max_scalar = 0.0
-    max_pair = 0.0
-    max_axis = 0.0
+    max_scalar = max_pair = max_axis = 0.0
     failures = []
     for trial in range(trials):
         phi = rng.uniform(0.0, _TWO_PI)
@@ -224,11 +221,5 @@ def verify_invariance(rho: DensityMatrix, trials: int = 50, seed: int = 0) -> In
             )
             break
     passed = not failures and max_scalar <= SCALAR_TOL and max_pair <= PAIRWISE_TOL and max_axis <= AXIS_TOL
-    return InvarianceReport(
-        trials=trials,
-        passed=passed,
-        max_scalar_dev=max_scalar,
-        max_pairwise_dev=max_pair,
-        max_axis_dev=max_axis,
-        failures=tuple(failures),
-    )
+    return InvarianceReport(trials=trials, passed=passed, max_scalar_dev=max_scalar, max_pairwise_dev=max_pair,
+                            max_axis_dev=max_axis, failures=tuple(failures))

@@ -259,6 +259,12 @@ class TestSolveAxes:
                              [2.0 * math.atan2(1.0, 1.0 + 1e-11), math.pi]])
         assert np.array(points) == pytest.approx(expected, rel=1e-12, abs=0)
 
+    def test_zero_polynomial_is_refused_naming_its_rank(self):
+        # p(Z) = 0 has no root set; accepted, it would give two pole points that pairing rejects
+        for k in (1, 3):
+            with pytest.raises(DomainError, match=f"rank-{k} polynomial has only zero coefficients"):
+                RankPolynomial(k=k, coefficients=np.zeros(2 * k + 1), degree_deficiency=0)
+
     def test_root_azimuth_a_hair_below_zero_wraps_to_zero(self):
         def point(z):  # the finite root point of -z + Z, after the deficiency root at theta = 0
             return solve_axes(RankPolynomial(k=1, coefficients=[-z, 1.0, 0.0], degree_deficiency=1))[1]
@@ -1075,6 +1081,82 @@ def seeded_stack(tj, rng):
     phi, psi = rng.uniform(0, 2 * math.pi, size=2)
     theta = math.acos(rng.uniform(-1, 1))
     return stack + [rotate_tensor(t, phi, theta, psi) for t in stack]
+
+
+def passing_forms(stack):
+    """(t, decompose(t)) of every tensor of the stack that decomposes."""
+    out = []
+    for t in stack:
+        try:
+            out.append((t, decompose(t)))
+        except DecompositionError:
+            pass
+    return out
+
+
+class TestArrayBackedForms:
+    def test_angles_are_read_only_views_equal_to_the_stack_slices(self):
+        rng = np.random.default_rng(61)
+        for tj in (1, 2, 5, 16):
+            ts = [t for t, _ in passing_forms(seeded_stack(tj, rng))]
+            present, angles = spinaxes.axes._decompose_stack(np.array([t.array for t in ts]), tj)[:2]
+            for item, form in enumerate(decompose_many(ts)):
+                assert form.present_ranks == tuple(k for k in range(1, tj + 1) if present[item, k - 1])
+                for k in form.present_ranks:
+                    dec = form.rank(k)
+                    assert dec.angles.shape == (k, 2) and not dec.angles.flags.writeable
+                    assert dec.angles.tobytes() == angles[item, k - 1, :k].tobytes()
+                    with pytest.raises(ValueError):
+                        dec.angles[0, 0] = 1.0
+                    # the Axis values are the angles' bits, as the Axis objects once built by decompose_many
+                    assert np.array([(ax.theta, ax.phi) for ax in dec.axes]).tobytes() == dec.angles.tobytes()
+
+    def test_decompose_and_reconstruct_build_no_axis(self, monkeypatch):
+        rng = np.random.default_rng(62)
+        ts = [random_tensor_components(HalfInt(4), rng) for _ in range(3)]
+
+        def forbidden(*args):
+            raise AssertionError("an Axis was built")
+
+        monkeypatch.setattr(spinaxes.axes, "Axis", forbidden)
+        for form in decompose_many(ts) + [decompose(random_tensor_components(HalfInt(1), rng))]:
+            reconstruct_tensor(form)
+            assert form.n_axes == sum(form.present_ranks)
+
+    def test_axis_built_forms_match_array_backed_ones_bit_for_bit(self):
+        rng = np.random.default_rng(63)
+        for tj in (1, 2, 5, 12, 16):
+            for t, form in passing_forms(seeded_stack(tj, rng)):
+                ranks = {k: None if d is None else RankDecomposition(d.axes, d.r, d.flipped, d.residual)  # by position
+                         for k, d in form.ranks.items()}
+                rebuilt = MultiaxialForm(form.j, ranks)
+                for k in form.present_ranks:
+                    assert rebuilt.rank(k).angles.tobytes() == form.rank(k).angles.tobytes()
+                    assert not rebuilt.rank(k).angles.flags.writeable
+                    axes = form.rank(k).axes
+                    assert coupled_axes_tensor(axes).tobytes() == coupled_axes_tensor(form.rank(k).angles).tobytes()
+                    assert scalar_r(t, k, axes) == scalar_r(t, k, form.rank(k).angles)
+                assert reconstruct_tensor(rebuilt).array.tobytes() == reconstruct_tensor(form).array.tobytes()
+
+    def test_a_writable_array_is_copied_read_only(self):
+        angles = np.array([[0.5, 1.0], [2.0, 3.0]])
+        dec = RankDecomposition(angles, 1.0, False, 0.0)
+        angles[0, 0] = 0.0
+        assert dec.angles.tolist() == [[0.5, 1.0], [2.0, 3.0]] and not dec.angles.flags.writeable
+
+    def test_malformed_forms_raise(self):
+        a, b = Axis(0.3, 1.0), Axis(2.0, 4.0)
+        for ranks in (
+            {1: RankDecomposition((a, b), 1.0, False, 0.0)},  # rank 1 holding two axes
+            {2: RankDecomposition((a,), 1.0, False, 0.0)},  # rank 2 holding one
+            {2: RankDecomposition((), 1.0, False, 0.0)},
+            {2: RankDecomposition(np.zeros((2, 3)), 1.0, False, 0.0)},
+            {3: RankDecomposition((a, b, a), 1.0, False, 0.0)},  # beyond 2j at spin 1
+            {0: None},
+        ):
+            with pytest.raises(DomainError):
+                MultiaxialForm(HalfInt(2), ranks)
+        assert MultiaxialForm(HalfInt(2), {1: None, 2: RankDecomposition((a, b), 1.0, False, 0.0)}).n_axes == 2
 
 
 class TestDecomposeMany:

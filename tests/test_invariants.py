@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from spinaxes.angular import couple
-from spinaxes.axes import decompose
+from spinaxes.axes import MultiaxialForm, RankDecomposition, decompose
 from spinaxes.errors import DomainError
 from spinaxes.invariants import (
     _invariant_stack,
@@ -140,6 +140,18 @@ class TestEnumerate:
                 assert [k for k, _ in mirror.scalars] == [k for k, _ in inv.scalars] == list(range(1, tj + 1))
                 assert np.allclose([r for _, r in mirror.scalars], [r for _, r in inv.scalars], rtol=0, atol=1e-12)
                 assert np.allclose(mirror.pairwise_abs_sorted(), inv.pairwise_abs_sorted(), rtol=0, atol=1e-12)
+
+    def test_axis_built_forms_give_the_same_bits(self):
+        rng = np.random.default_rng(36)
+        for tj in (1, 2, 3, 8, 16):
+            form = decompose(to_tensor(random_density_matrix(tj / 2, rng)))
+            ranks = {k: None if d is None else RankDecomposition(d.axes, d.r, d.flipped, d.residual)  # by position
+                     for k, d in form.ranks.items()}
+            rebuilt = MultiaxialForm(form.j, ranks)
+            expected, got = enumerate_invariants(form), enumerate_invariants(rebuilt)
+            assert got.values.tobytes() == expected.values.tobytes()
+            assert got.abs_cosines.tobytes() == expected.abs_cosines.tobytes()
+            assert (got.scalars, got.axis_labels, got.count) == (expected.scalars, expected.axis_labels, expected.count)
 
     def test_spin1_named_rejects_other_spins(self):
         rng = np.random.default_rng(32)
