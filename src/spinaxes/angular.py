@@ -31,6 +31,9 @@ Conventions
 
   so that the components of a tensor in a rotated frame are
   ``t'[q] = sum_q' D[k][q',q] t[q']`` (sum over the first index).
+* A direction's polar angles lie in theta in [0, pi], phi in [0, 2 pi). Every
+  module wraps phi by the one rule here, on a float or an array, and checks
+  and clamps outside input through it.
 """
 
 import math
@@ -59,12 +62,19 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi
 
 
-def _wrap_azimuth(phi: float) -> float:
-    """Azimuth in [0, 2 pi), azimuths a hair below zero mapping to 0; a non-finite one raises DomainError."""
+def _wrap_azimuth(phi):
+    """Finite azimuths, a float or an array, in [0, 2 pi): those a hair below 2 pi (or below 0) map to +0."""
+    phi = phi % _TWO_PI  # Python's % on a float, np.remainder on an array: the same bits
+    return phi * (_TWO_PI - phi >= 1e-12)
+
+
+def _polar_angles(theta: float, phi: float, slack: float) -> tuple[float, float]:
+    """(theta, phi) with theta clamped into [0, pi] and phi wrapped; theta beyond slack or a non-finite phi raise."""
+    if not -slack <= theta <= math.pi + slack:
+        raise DomainError(f"theta={theta} outside [0, pi]")
     if not math.isfinite(phi):
         raise DomainError(f"azimuth phi={phi} is not finite")
-    phi = phi % _TWO_PI
-    return 0.0 if _TWO_PI - phi < 1e-12 else phi
+    return min(max(theta, 0.0), math.pi), _wrap_azimuth(phi)
 
 
 @dataclass(frozen=True, order=True)

@@ -18,9 +18,10 @@ A spin-j state thus maps to j(2j+1) axes plus 2j non-negative scalars.
 Every stage works on all (item, rank) rows of an (N, (2j+1)^2) component
 stack in one pass, and the core returns arrays (:func:`_decompose_stack`);
 the single-item functions run the same code on a stack of one. Root points
-and axes travel as zero-padded (theta, phi) arrays, one row per (item, rank).
+and axes travel as zero-padded (theta, phi) arrays, one row per (item, rank),
+the azimuths wrapped by :func:`spinaxes.angular._wrap_azimuth`, the rule Axis applies.
 A RankDecomposition holds its axes as a read-only (k, 2) array of (theta, phi), from
-:func:`decompose_many` a view into the core's angles; it builds Axis objects only when asked for ``axes``.
+:func:`decompose_many` a view into its item's own block; it builds Axis objects only when asked for ``axes``.
 """
 
 import cmath
@@ -31,7 +32,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .angular import _TWO_PI, HalfInt, _wrap_azimuth, angle_between, couple, unit_vector, unit_vector_components
+from .angular import HalfInt, _polar_angles, _wrap_azimuth, angle_between, couple, unit_vector, unit_vector_components
 from .errors import DecompositionError, DomainError, ValidationError
 from .tensors import TensorComponents, _check_tensor_stack
 
@@ -69,10 +70,9 @@ class Axis:
     phi: float
 
     def __post_init__(self):
-        if not -1e-9 <= self.theta <= math.pi + 1e-9:
-            raise DomainError(f"theta={self.theta} outside [0, pi]")
-        object.__setattr__(self, "theta", min(max(self.theta, 0.0), math.pi))
-        object.__setattr__(self, "phi", _wrap_azimuth(self.phi))
+        theta, phi = _polar_angles(self.theta, self.phi, 1e-9)
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "phi", phi)
 
     @classmethod
     def from_cartesian(cls, vec) -> "Axis":
@@ -264,7 +264,8 @@ def decompose_many(ts) -> list[MultiaxialForm]:
     Returns the forms ``[decompose(t) for t in ts]`` would return. When an item
     fails, raises what that loop would raise first, the error of the lowest
     failing index, with its ``index`` set. Tensors of different j raise
-    DomainError; an empty sequence gives an empty list.
+    DomainError; an empty sequence gives an empty list. Each form's rank angles
+    are views of that item's own read-only (2j, 2j, 2) block of the core's angles.
     """
     ts = list(ts)
     if not ts:
@@ -274,9 +275,10 @@ def decompose_many(ts) -> list[MultiaxialForm]:
         if t.j != j:
             raise DomainError(f"decompose_many needs tensors of one j, got j={j} and j={t.j}")
     flags, angles, *scales = _decompose_stack(np.array([t.array for t in ts]), j.twice)
-    angles.setflags(write=False)  # each rank's angles are a view of it
     forms = []
     for item, row in zip(angles, zip(*(array.tolist() for array in (flags, *scales)))):
+        item = item.copy()  # the item's own (2j, 2j, 2) block, so a kept form does not pin the whole stack
+        item.setflags(write=False)  # each rank's angles are a view of it
         ranks = {k: RankDecomposition(item[k - 1, :k], r, flipped, residual) if present else None
                  for k, (present, r, flipped, residual) in enumerate(zip(*row), start=1)}
         forms.append(MultiaxialForm(j=j, ranks=ranks))
@@ -336,14 +338,11 @@ def _ranks(rows: np.ndarray, ks: np.ndarray) -> tuple:
     except DecompositionError as exc:
         k = int(ks[exc.index])
         raise DecompositionError(f"rank {k}: {exc}", rank=k, stage=exc.stage, index=int(items[exc.index])) from exc
-    theta, phi = pairs[..., 0], pairs[..., 1]
     flips = np.flatnonzero(flipped[items])
     last = ks[flips] - 1  # the last axis of a flipped row becomes its antipode, as Axis.antipode makes it
-    theta[flips, last] = math.pi - theta[flips, last]
-    phi[flips, last] += math.pi
-    # Axis's clamp of theta and wrap of phi
-    angles[items, :pairs.shape[1], 0] = np.minimum(np.maximum(theta, 0.0), math.pi)
-    angles[items, :pairs.shape[1], 1] = _wrap(phi)
+    pairs[flips, last, 0] = math.pi - pairs[flips, last, 0]  # theta in [0, pi] from _polar stays there
+    pairs[flips, last, 1] = _wrap_azimuth(pairs[flips, last, 1] + math.pi)
+    angles[items, :pairs.shape[1]] = pairs
     return present, angles, r, flipped, residual
 
 
@@ -427,10 +426,10 @@ def _root_points(coeffs: np.ndarray, deficiency: np.ndarray, ks: np.ndarray) -> 
         i = int(np.argmax(bad))
         raise DecompositionError(f"root {z[i]!r} of the rank-{ks[row[i]]} polynomial has residual "
                                  f"{abs(values[i]):.3e} (bound {bound[i]:.3e})", stage="roots", index=int(row[i]))
-    # theta = 2 atan2(1, |Z|), phi = -arg Z wrapped as _wrap_azimuth does; Python's atan2 and phase for their bits
+    # theta = 2 atan2(1, |Z|), phi = -arg Z wrapped; Python's atan2 and phase for their bits
     flat = z.tolist()
     theta = 2.0 * np.fromiter(map(math.atan2, repeat(1.0), map(abs, flat)), float, len(flat))
-    phi = _wrap(-np.fromiter(map(cmath.phase, flat), float, len(flat)))
+    phi = _wrap_azimuth(-np.fromiter(map(cmath.phase, flat), float, len(flat)))
     phi[z == 0] = 0.0
     out = np.zeros(real.shape + (2,))  # deficiency roots sit at (0, 0)
     out[real] = np.stack((theta, phi), axis=-1)
@@ -464,13 +463,6 @@ def _canonical_rep(u: np.ndarray) -> np.ndarray:
     return np.where(first[:, None] < 0.0, -u, u)
 
 
-def _wrap(phi: np.ndarray) -> np.ndarray:
-    """Finite azimuths wrapped as _wrap_azimuth wraps them: into [0, 2 pi), a hair below 2 pi mapping to 0."""
-    phi = np.remainder(phi, _TWO_PI)
-    phi[_TWO_PI - phi < 1e-12] = 0.0
-    return phi
-
-
 def _polar(vecs: np.ndarray) -> np.ndarray:
     """(theta, phi) of each row of stacked 3-vectors as :class:`Axis` holds it, the inverse of unit_vector.
 
@@ -484,7 +476,7 @@ def _polar(vecs: np.ndarray) -> np.ndarray:
     x, y, z = unit.T.tolist()
     polar = np.empty((len(vecs), 2))
     polar[:, 0] = list(map(math.acos, map(min, repeat(1.0), map(max, repeat(-1.0), z))))
-    polar[:, 1] = _wrap(np.fromiter(map(math.atan2, y, x), float, len(vecs)))
+    polar[:, 1] = _wrap_azimuth(np.fromiter(map(math.atan2, y, x), float, len(vecs)))
     pole = np.fromiter(map(math.hypot, x, y), float, len(vecs)) < 1e-12
     polar[pole, 0] = np.where(unit[pole, 2] > 0.0, 0.0, math.pi)
     polar[pole, 1] = 0.0
@@ -502,7 +494,7 @@ def _pairings(points: np.ndarray, ks: np.ndarray) -> np.ndarray:
 
     Scratch: one (3, rows, n, n) float block, allocated per call, holds |v_i x v_j|, v_i . v_j and a spare square;
     every elementwise pass writes into it with ``out=``, the spare ending as the mismatches. The argsort sorts only
-    the n (n - 1) / 2 pairs i < j, gathered in row-major order through a cached index: the gathered mismatches and
+    the n (n - 1) / 2 pairs i < j, gathered in row-major order through :func:`_pairs`: the gathered mismatches and
     their order add two (rows, n (n - 1) / 2) arrays, just under one square. Cluster sizes are counted only for
     sets with a picked pair beyond PAIRING_TOL, since the widened tolerance is never below it.
     """
@@ -529,16 +521,16 @@ def _pairings(points: np.ndarray, ks: np.ndarray) -> np.ndarray:
     mismatch = np.arctan2(cross, np.negative(dots, out=spare), out=spare)
     both = real[:, :, None] & real[:, None, :]
     mismatch[~both] = np.inf  # padded points pair with none
-    upper = _upper_pairs(n)
-    ranked = np.argsort(mismatch.reshape(count, n * n)[:, upper], axis=1, kind="stable")  # ties in row-major order
+    rows, cols = _pairs(n)
+    ranked = np.argsort(mismatch[:, rows, cols], axis=1, kind="stable")  # ties in row-major order
     picks = []
     for row, k in enumerate(ks.tolist()):
         if k == 1:  # the only real pair, (0, 1), needs no scan
-            picks.append(1)
+            picks.append(0)
             continue
         free, done = [True] * (2 * k), len(picks) + k
-        for pick in upper[ranked[row, :k * (2 * k - 1)]].tolist():  # the real pairs i < j, as i * n + j
-            i, j = divmod(pick, n)
+        order = ranked[row, :k * (2 * k - 1)]  # the real pairs i < j
+        for pick, i, j in zip(order.tolist(), rows[order].tolist(), cols[order].tolist()):
             if free[i] and free[j]:
                 free[i] = free[j] = False
                 picks.append(pick)
@@ -547,7 +539,7 @@ def _pairings(points: np.ndarray, ks: np.ndarray) -> np.ndarray:
     every = np.arange(count)
     paired = np.arange(n // 2) < ks[:, None]  # rounds that matched two real points
     first, second = np.zeros((2, count, n // 2), dtype=np.intp)
-    first[paired], second[paired] = np.divmod(picks, n)
+    first[paired], second[paired] = rows[picks], cols[picks]
     ang = mismatch[every[:, None], first, second]
     loose = (ang > PAIRING_TOL) & paired
     if loose.any():
@@ -578,11 +570,12 @@ def _pairings(points: np.ndarray, ks: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _upper_pairs(n: int) -> np.ndarray:
-    """Read-only flat positions i * n + j of the pairs i < j of n points, in row-major order."""
-    flat = np.flatnonzero(~np.tri(n, dtype=bool))
-    flat.setflags(write=False)
-    return flat
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only indices (rows, cols) of the pairs i < j of n points or axes, in row-major order."""
+    rows, cols = np.triu_indices(n, 1)
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
 
 
 def _as_angles(axes) -> np.ndarray:

@@ -211,7 +211,8 @@ def _analyze_payload(rho: DensityMatrix, metadata) -> dict:
         dec = form.ranks[k]
         payload["ranks"][str(k)] = None if dec is None else {
             "r": dec.r, "flipped": dec.flipped, "residual": dec.residual,
-            "axes": [{"theta": ax.theta, "phi": ax.phi, "xyz": ax.cartesian.tolist()} for ax in dec.axes],
+            "axes": [{"theta": theta, "phi": phi, "xyz": unit_vector(theta, phi).tolist()}
+                     for theta, phi in dec.angles.tolist()],
         }
     return payload
 

@@ -10,13 +10,12 @@ the convention-free absolute cosines are carried alongside.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 
 from .angular import _TWO_PI, HalfInt, clebsch_gordan, euler_rotation_cartesian, unit_vector, unit_vector_components
-from .axes import MultiaxialForm, decompose
+from .axes import MultiaxialForm, _pairs, decompose
 from .errors import DomainError
 from .tensors import DensityMatrix, rotate_tensor, to_tensor
 
@@ -65,15 +64,6 @@ def invariant_count(j) -> int:
         raise DomainError("j must be at least 1/2")
     n_axes = tj * (tj + 1) // 2  # j(2j+1) is always an integer
     return math.comb(n_axes, 2) + tj
-
-
-@lru_cache(maxsize=None)
-def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only upper-triangle index pair (i < j) of n axes."""
-    rows, cols = np.triu_indices(n, 1)
-    rows.setflags(write=False)
-    cols.setflags(write=False)
-    return rows, cols
 
 
 def enumerate_invariants(form: MultiaxialForm) -> InvariantSet:
@@ -210,8 +200,8 @@ def verify_invariance(rho: DensityMatrix, trials: int = 50, seed: int = 0) -> In
             max_pair = max(max_pair, float(np.max(np.abs(rot_abs - base_abs))))
         mat = euler_rotation_cartesian(phi, theta, psi)
         for k in base_form.present_ranks:
-            expected = [mat.T @ ax.cartesian for ax in base_form.rank(k).axes]
-            actual = [ax.cartesian for ax in rot_form.rank(k).axes]
+            expected = [mat.T @ unit_vector(*angles) for angles in base_form.rank(k).angles.tolist()]
+            actual = [unit_vector(*angles) for angles in rot_form.rank(k).angles.tolist()]
             max_axis = max(max_axis, _match_lines(expected, actual))
         if max_scalar > SCALAR_TOL or max_pair > PAIRWISE_TOL or max_axis > AXIS_TOL:
             failures.append(

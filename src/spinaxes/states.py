@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .angular import _TWO_PI, HalfInt, _wrap_azimuth, unit_vector
+from .angular import _TWO_PI, HalfInt, _polar_angles, unit_vector
 from .errors import DomainError, ValidationError
 from .tensors import DensityMatrix
 
@@ -52,10 +52,9 @@ class Spinor:
     phi: float
 
     def __post_init__(self):
-        if not -1e-12 <= self.theta <= math.pi + 1e-12:
-            raise DomainError(f"theta={self.theta} outside [0, pi]")
-        object.__setattr__(self, "theta", min(max(self.theta, 0.0), math.pi))
-        object.__setattr__(self, "phi", _wrap_azimuth(self.phi))
+        theta, phi = _polar_angles(self.theta, self.phi, 1e-12)
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "phi", phi)
 
     @property
     def amplitudes(self) -> np.ndarray:

@@ -8,6 +8,7 @@ from sympy.physics.quantum.spin import Rotation as SympyRotation
 
 from spinaxes.angular import (
     HalfInt,
+    _wrap_azimuth,
     clebsch_gordan,
     couple,
     euler_rotation_cartesian,
@@ -19,6 +20,7 @@ from spinaxes.angular import (
 )
 from spinaxes.axes import Axis
 from spinaxes.errors import DomainError
+from spinaxes.states import Spinor
 
 
 class TestHalfInt:
@@ -311,3 +313,49 @@ class TestCouple:
         z = unit_vector_components(0.0, 0.0)
         with pytest.raises(DomainError):
             couple(z, z, 3)
+
+
+def scalar_wrap(phi: float) -> float:
+    """The scalar azimuth wrap that Axis and Spinor applied before the rule became shared with arrays."""
+    phi = phi % (2.0 * math.pi)
+    return 0.0 if 2.0 * math.pi - phi < 1e-12 else phi
+
+
+class TestPolarAngles:
+    two_pi = 2.0 * math.pi
+    edges = [0.0, -0.0, math.pi, two_pi, -two_pi, 3 * two_pi, np.nextafter(two_pi, 0.0), two_pi - 1e-12,
+             two_pi - 2e-12, two_pi - 0.9e-12, -1e-13, -1e-12, -2e-12, -5e-324, np.nextafter(0.0, -1.0), 1e6, -1e6,
+             1e-300, -1e-300, 1e300, -1e300, math.pi * 7, -math.pi * 7]
+
+    def test_wrap_of_floats_and_arrays_has_the_scalar_rule_bits(self):
+        rng = np.random.default_rng(71)
+        values = self.edges + rng.uniform(-50.0, 50.0, size=2000).tolist() + \
+            (np.arange(-400, 400) * self.two_pi + rng.choice([-1e-12, -1e-13, 0.0, 1e-13], size=800)).tolist()
+        expected = np.array([scalar_wrap(float(v)) for v in values])
+        floats = [_wrap_azimuth(float(v)) for v in values]
+        assert all(type(v) is float for v in floats)
+        assert np.array(floats).tobytes() == expected.tobytes()
+        assert _wrap_azimuth(np.array(values)).tobytes() == expected.tobytes()
+        assert _wrap_azimuth(np.array(values)[::2]).tobytes() == expected[::2].tobytes()  # a strided view
+        assert math.copysign(1.0, _wrap_azimuth(-0.0)) == 1.0 and _wrap_azimuth(-1e-13) == 0.0
+        assert 0.0 <= expected.min() and expected.max() < self.two_pi
+
+    @pytest.mark.parametrize("cls, slack", [(Axis, 1e-9), (Spinor, 1e-12)])
+    def test_theta_slack_edges(self, cls, slack):
+        assert cls(-slack, 1.0).theta == 0.0
+        assert cls(math.pi + slack, 1.0).theta == math.pi
+        for theta in (-2 * slack, math.pi + 2 * slack):
+            with pytest.raises(DomainError, match=f"^theta={theta} outside \\[0, pi\\]$"):
+                cls(theta, 1.0)
+        assert math.copysign(1.0, cls(-0.0, 1.0).theta) == -1.0  # a clamp by max(theta, 0.0) keeps -0.0
+        assert (cls(0.3, -1e-13).phi, cls(0.3, 1e6).phi) == (0.0, scalar_wrap(1e6))
+
+    @pytest.mark.parametrize("cls", [Axis, Spinor])
+    def test_non_finite_angle_messages(self, cls):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError, match=f"^theta={bad} outside \\[0, pi\\]$"):
+                cls(bad, 1.0)
+            with pytest.raises(DomainError, match=f"^azimuth phi={bad} is not finite$"):
+                cls(0.3, bad)
+        with pytest.raises(DomainError, match="^theta=nan outside"):  # theta is checked first
+            cls(math.nan, math.nan)

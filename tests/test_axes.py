@@ -1,6 +1,8 @@
 import cmath
+import gc
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -37,8 +39,10 @@ from spinaxes.axes import (
     scalar_r,
     solve_axes,
 )
+from spinaxes.cli import _analyze_payload
 from spinaxes.errors import DecompositionError, DomainError, ValidationError
-from spinaxes.states import Spinor, pure_two_spinor, symmetrize_pure
+from spinaxes.invariants import enumerate_invariants, verify_invariance
+from spinaxes.states import Spinor, pure_two_spinor, random_density_matrix, symmetrize_pure
 from spinaxes.tensors import (
     DensityMatrix,
     TensorComponents,
@@ -1121,7 +1125,31 @@ class TestArrayBackedForms:
         monkeypatch.setattr(spinaxes.axes, "Axis", forbidden)
         for form in decompose_many(ts) + [decompose(random_tensor_components(HalfInt(1), rng))]:
             reconstruct_tensor(form)
+            enumerate_invariants(form)
             assert form.n_axes == sum(form.present_ranks)
+        for tj in (1, 4):
+            rho = random_density_matrix(HalfInt(tj), rng)
+            assert verify_invariance(rho, trials=2, seed=tj).passed
+            assert len(_analyze_payload(rho, None)["ranks"]) == tj
+
+    def test_a_kept_form_pins_only_its_own_block(self):
+        rng = np.random.default_rng(64)
+        tj, count = 8, 60
+        ts = [random_tensor_components(HalfInt(tj), rng) for _ in range(count)]
+        decompose_many(ts)  # warm the caches
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            kept = decompose_many(ts)[count // 2]
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        block = tj * tj * 2 * 8  # one item's (2j, 2j, 2) float angles
+        assert held < count * block // 4  # the whole stack's angles would be count blocks
+        for k in kept.present_ranks:
+            assert kept.rank(k).angles.base.shape == (tj, tj, 2)
 
     def test_axis_built_forms_match_array_backed_ones_bit_for_bit(self):
         rng = np.random.default_rng(63)
@@ -1157,6 +1185,29 @@ class TestArrayBackedForms:
             with pytest.raises(DomainError):
                 MultiaxialForm(HalfInt(2), ranks)
         assert MultiaxialForm(HalfInt(2), {1: None, 2: RankDecomposition((a, b), 1.0, False, 0.0)}).n_axes == 2
+
+
+class TestAngleRange:
+    def test_every_returned_angle_lies_in_the_convention_range(self):
+        # the axes decompose returns need no clamp or wrap beyond the azimuth wrap of flipped last axes
+        rng = np.random.default_rng(65)
+        seen = {"flipped": 0, "theta=0": 0, "theta=pi": 0}
+        for tj in range(1, 17):
+            stack = seeded_stack(tj, rng)
+            for vec in (np.eye(tj + 1)[-1], np.eye(tj + 1)[[0, -1]].sum(axis=0) / math.sqrt(2)):  # |j,-j>, GHZ
+                stack.append(to_tensor(DensityMatrix(np.outer(vec, vec))))
+            ts, forms = zip(*passing_forms(stack))
+            for form, many in zip(forms, decompose_many(ts)):
+                for k in form.present_ranks:
+                    angles = form.rank(k).angles
+                    assert angles.tobytes() == many.rank(k).angles.tobytes()
+                    theta, phi = angles.T
+                    assert ((0.0 <= theta) & (theta <= math.pi) & (0.0 <= phi) & (phi < 2 * math.pi)).all()
+                    assert not np.signbit(angles).any()
+                    seen["flipped"] += form.rank(k).flipped
+                    seen["theta=0"] += int((theta == 0.0).sum())
+                    seen["theta=pi"] += int((theta == math.pi).sum())
+        assert min(seen.values()) > 0, seen
 
 
 class TestDecomposeMany:
