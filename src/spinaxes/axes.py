@@ -204,8 +204,9 @@ def pair_and_canonicalize(points) -> list[Axis]:
     """Match the 2k root points into antipodal pairs and pick one axis per pair.
 
     Greedy nearest-antipode matching: a scan of the pairs i < j by atan2(|v_i x v_j|, -v_i . v_j), row-major on
-    ties, takes each pair of two unmatched points, at each step the first row-major minimum over them. An
-    m-fold root cluster is only accurate to about eps^(1/m), so the matching
+    ties, takes each pair of two unmatched points, at each step the first row-major minimum over them. When each
+    point has one other point near its antipode, and those pairs miss by at most PAIRING_TOL, the scan would take
+    them, and they are taken without it. An m-fold root cluster is only accurate to about eps^(1/m), so the matching
     tolerance widens from PAIRING_TOL accordingly. The representative is the
     pair member with z > 0 (ties broken by x, then y), and the result is
     sorted by (theta, phi) rounded to 9 decimals, then by the exact (theta, phi). Unpairable points signal
@@ -486,17 +487,20 @@ def _polar(vecs: np.ndarray) -> np.ndarray:
 def _pairings(points: np.ndarray, ks: np.ndarray) -> np.ndarray:
     """Antipodal pairing of stacked root-point sets, row i holding 2 ks[i] points (theta, phi), zero-padded.
 
-    Each set is paired as :func:`pair_and_canonicalize` describes, by one stable argsort of the mismatches of its
-    pairs i < j and a greedy scan (none for two points); padded points get mismatch +inf and join no cluster.
-    Returns the (theta, phi) of each set's ks[i] axes, zero-padded to (rows, points.shape[1] // 2, 2). Raises the
-    DecompositionError of the lowest set holding a non-finite point, else of the lowest set with a point that has
-    no antipodal partner.
+    Each set is paired as :func:`pair_and_canonicalize` describes. A row settles from the v_i . v_j it needs in
+    any case when each real point has exactly one real point near its antipode, the partners are mutual and the
+    k pairs they form miss by at most PAIRING_TOL: those are then the k smallest mismatches, which the scan would
+    take. Only the other rows (clusters, ties, loose or unpaired points) run the stable argsort of the mismatches
+    of their pairs i < j and the greedy scan (none for two points); padded points get mismatch +inf there and join
+    no cluster. Returns the (theta, phi) of each set's ks[i] axes, zero-padded to (rows, points.shape[1] // 2, 2).
+    Raises the DecompositionError of the lowest set holding a non-finite point, else of the lowest set with a
+    point that has no antipodal partner.
 
-    Scratch: one (3, rows, n, n) float block, allocated per call, holds |v_i x v_j|, v_i . v_j and a spare square;
-    every elementwise pass writes into it with ``out=``, the spare ending as the mismatches. The argsort sorts only
-    the n (n - 1) / 2 pairs i < j, gathered in row-major order through :func:`_pairs`: the gathered mismatches and
-    their order add two (rows, n (n - 1) / 2) arrays, just under one square. Cluster sizes are counted only for
-    sets with a picked pair beyond PAIRING_TOL, since the widened tolerance is never below it.
+    Scratch: the (rows, n, n) float v_i . v_j and its bool nearness mask. Rows that do not settle add one
+    (3, rows, n, n) float block, allocated per call and written with ``out=``, for |v_i x v_j|, a spare square and
+    the mismatches, a copy of their v_i . v_j, and the argsort's n (n - 1) / 2 gathered mismatches and order.
+    Cluster sizes are counted only for sets with a picked pair beyond PAIRING_TOL, since the widened tolerance is
+    never below it.
     """
     count, n = points.shape[:2]
     real = np.arange(n) < 2 * ks[:, None]
@@ -506,67 +510,103 @@ def _pairings(points: np.ndarray, ks: np.ndarray) -> np.ndarray:
         raise DecompositionError(f"root point {tuple(points[row, i].tolist())} is not finite", stage="pairing",
                                  index=int(row))
     vecs = unit_vector(points[..., 0], points[..., 1])
-    a, b = vecs[:, :, None, :], vecs[:, None, :, :]
-    cross, dots, spare = np.empty((3, count, n, n))
-    # |v_i x v_j| with np.cross's products c_i = a_p b_q - a_q b_p and np.linalg.norm's sum order: c_0 is squared
-    # in cross, c_1 and c_2 in dots, each then added to cross
-    for c, (p, q) in zip((cross, dots, dots), ((1, 2), (2, 0), (0, 1))):
-        np.multiply(a[..., p], b[..., q], out=c)
-        np.subtract(c, np.multiply(a[..., q], b[..., p], out=spare), out=c)
-        np.multiply(c, c, out=c)
-        if c is dots:
-            np.add(cross, dots, out=cross)
-    np.sqrt(cross, out=cross)
-    np.matmul(vecs, vecs.transpose(0, 2, 1), out=dots)
-    mismatch = np.arctan2(cross, np.negative(dots, out=spare), out=spare)
-    both = real[:, :, None] & real[:, None, :]
-    mismatch[~both] = np.inf  # padded points pair with none
-    rows, cols = _pairs(n)
-    ranked = np.argsort(mismatch[:, rows, cols], axis=1, kind="stable")  # ties in row-major order
-    picks = []
-    for row, k in enumerate(ks.tolist()):
-        if k == 1:  # the only real pair, (0, 1), needs no scan
-            picks.append(0)
-            continue
-        free, done = [True] * (2 * k), len(picks) + k
-        order = ranked[row, :k * (2 * k - 1)]  # the real pairs i < j
-        for pick, i, j in zip(order.tolist(), rows[order].tolist(), cols[order].tolist()):
-            if free[i] and free[j]:
-                free[i] = free[j] = False
-                picks.append(pick)
-                if len(picks) == done:
-                    break
-    every = np.arange(count)
-    paired = np.arange(n // 2) < ks[:, None]  # rounds that matched two real points
-    first, second = np.zeros((2, count, n // 2), dtype=np.intp)
-    first[paired], second[paired] = rows[picks], cols[picks]
-    ang = mismatch[every[:, None], first, second]
-    loose = (ang > PAIRING_TOL) & paired
-    if loose.any():
-        sets = loose.any(axis=1)
-        # largest number of points within 1e-3 rad of one point, itself included
-        cluster = ((np.arctan2(cross[sets], dots[sets]) < 1e-3) & both[sets]).sum(axis=2).max(axis=1)
-        eff_tol = np.full(count, PAIRING_TOL)
-        eff_tol[sets] = [max(PAIRING_TOL, 100.0 * _EPS ** (1.0 / m)) for m in cluster.tolist()]
-        too_far = (ang > eff_tol[:, None]) & paired
-        if too_far.any():
-            row, rnd = np.argwhere(too_far)[0]
-            raise DecompositionError(f"root point {tuple(points[row, first[row, rnd]].tolist())} has no antipodal "
-                                     f"partner (best mismatch {ang[row, rnd]:.3e} rad > {eff_tol[row]:.3e}); "
-                                     "the input tensor likely violates conjugation symmetry", stage="pairing",
-                                     index=int(row))
+    dots = vecs @ vecs.transpose(0, 2, 1)
+    every, paired = np.arange(count)[:, None], np.arange(n // 2) < ks[:, None]  # rounds that match two real points
+    # near: within PAIRING_TOL + 1e-6 rad of the antipode. There 1 + v_i . v_j ~ m^2 / 2, so the few-eps rounding of
+    # a dot product and of |v| = 1 moves the angle m it implies by up to ~sqrt(8 eps) ~ 4e-8 rad, inside the margin:
+    # a pair that is not near misses by more than PAIRING_TOL. A row settles when each real point has one near
+    # point, the partners are mutual (a guard: dot products need not round symmetrically) and every pair misses by
+    # at most PAIRING_TOL; its k pairs are then the k smallest mismatches, the first the sort would list
+    near = (dots <= -math.cos(PAIRING_TOL + 1e-6)) & real[:, None, :]
+    partner = np.argmax(near, axis=2)
+    settled = ((near.sum(axis=2) == 1) & (partner[every, partner] == np.arange(n)) | ~real).all(axis=1)
+    # a settled row's pairs (i, partner i), i < partner i, by i: the rounds' order shows nowhere, as the axes are
+    # sorted below, a float-equal (theta, phi) has one bit pattern (no -0.0 from _polar) and settled rows never fail
+    first = np.zeros((count, n // 2), dtype=np.intp)
+    first[paired & settled[:, None]] = np.nonzero(real & (np.arange(n) < partner) & settled[:, None])[1]
+    second = partner[every, first]
+    ang = _mismatches(vecs[every, first], vecs[every, second], dots[every, first, second], np.empty((3, count, n // 2)))
+    settled &= ~((ang > PAIRING_TOL) & paired).any(axis=1)
+    redo = np.flatnonzero(~settled)
+    if redo.size:
+        sub, both = vecs[redo], real[redo, :, None] & real[redo, None, :]
+        block = np.empty((3, len(redo), n, n))
+        mismatch = _mismatches(sub[:, :, None, :], sub[:, None, :, :], dots[redo], block)
+        mismatch[~both] = np.inf  # padded points pair with none
+        rows, cols = _pairs(n)
+        ranked = np.argsort(mismatch[:, rows, cols], axis=1, kind="stable")  # ties in row-major order
+        picks = []
+        for row, k in enumerate(ks[redo].tolist()):
+            if k == 1:  # the only real pair, (0, 1), needs no scan
+                picks.append(0)
+                continue
+            free, done = [True] * (2 * k), len(picks) + k
+            order = ranked[row, :k * (2 * k - 1)]  # the real pairs i < j
+            for pick, i, j in zip(order.tolist(), rows[order].tolist(), cols[order].tolist()):
+                if free[i] and free[j]:
+                    free[i] = free[j] = False
+                    picks.append(pick)
+                    if len(picks) == done:
+                        break
+        picked = np.zeros((2, len(redo), n // 2), dtype=np.intp)
+        picked[:, paired[redo]] = rows[picks], cols[picks]
+        first[redo], second[redo] = picked
+        ang = mismatch[np.arange(len(redo))[:, None], picked[0], picked[1]]
+        loose = (ang > PAIRING_TOL) & paired[redo]
+        if loose.any():
+            sets = loose.any(axis=1)
+            # largest number of points within 1e-3 rad of one point, itself included
+            cluster = ((np.arctan2(block[0, sets], dots[redo[sets]]) < 1e-3) & both[sets]).sum(axis=2).max(axis=1)
+            eff_tol = np.full(len(redo), PAIRING_TOL)
+            eff_tol[sets] = [max(PAIRING_TOL, 100.0 * _EPS ** (1.0 / m)) for m in cluster.tolist()]
+            too_far = (ang > eff_tol[:, None]) & paired[redo]
+            if too_far.any():
+                row, rnd = np.argwhere(too_far)[0]
+                raise DecompositionError(f"root point {tuple(points[redo[row], picked[0, row, rnd]].tolist())} has no "
+                                         f"antipodal partner (best mismatch {ang[row, rnd]:.3e} rad > "
+                                         f"{eff_tol[row]:.3e}); the input tensor likely violates conjugation "
+                                         "symmetry", stage="pairing", index=int(redo[row]))
     # the pair difference averages out opposite-signed root noise
-    mean = (vecs[every[:, None], first] - vecs[every[:, None], second])[paired]
+    mean = (vecs[every, first] - vecs[every, second])[paired]
     mean /= np.sqrt(mean[:, None, :] @ mean[:, :, None])[:, 0]  # np.linalg.norm's dot product
-    # each row's axes sorted by (theta, phi) to 9 decimals (keys left 0 in a row of one axis), so fp-level
-    # theta ties still order by phi, then exactly, padding last; Python's round, as np.round is not correctly
-    # rounded and could reorder near-ties
+    # each row's axes sorted by (theta, phi) to 9 decimals (keys left 0 in a row of one axis), so fp-level theta
+    # ties still order by phi, then exactly, padding last
     keyed = np.zeros((count, n // 2, 4))
     keyed[paired, 2:] = _polar(_canonical_rep(mean))
     several = paired & (ks[:, None] > 1)
-    keyed[several, :2] = np.reshape(list(map(round, keyed[several, 2:].ravel().tolist(), repeat(9))), (-1, 2))
+    keyed[several, :2] = _decimal_buckets(keyed[several, 2:])
     order = np.lexsort((*keyed[..., ::-1].transpose(2, 0, 1), ~paired), axis=-1)
-    return keyed[every[:, None], order, 2:]
+    return keyed[every, order, 2:]
+
+
+def _mismatches(a: np.ndarray, b: np.ndarray, dots: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """atan2(|a x b|, -a . b), the angle from each a to the antipode of b, into block[2]; |a x b| stays in block[0].
+
+    a and b broadcast to the shape of one square of the (3, ...) float block, plus a last axis of 3 components,
+    and dots holds their dot products. |a x b| takes np.cross's products c_i = a_p b_q - a_q b_p and
+    np.linalg.norm's sum order; block[1] holds the squares of c_1 and c_2 and block[2] the spare products.
+    """
+    cross, square, spare = block
+    for c, (p, q) in zip((cross, square, square), ((1, 2), (2, 0), (0, 1))):
+        np.multiply(a[..., p], b[..., q], out=c)
+        np.subtract(c, np.multiply(a[..., q], b[..., p], out=spare), out=c)
+        np.multiply(c, c, out=c)
+        if c is square:
+            np.add(cross, square, out=cross)
+    np.sqrt(cross, out=cross)
+    return np.arctan2(cross, np.negative(dots, out=spare), out=spare)
+
+
+def _decimal_buckets(x: np.ndarray) -> np.ndarray:
+    """round(x, 9) of non-negative x below 8 as integers m (x ~ m 1e-9), rounded as Python's correctly rounded round.
+
+    x * 1e9 is off by under 1e-6 from its exact value, so np.rint can differ from round only within 1e-5 of a
+    half; there Python's round gives the bucket.
+    """
+    scaled = x * 1e9
+    half = np.abs(scaled - np.floor(scaled) - 0.5) < 1e-5
+    scaled[half] = [round(value, 9) * 1e9 for value in x[half].tolist()]
+    return np.rint(scaled)
 
 
 @lru_cache(maxsize=None)

@@ -4,6 +4,7 @@ import itertools
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from spinaxes.axes import (
     RankDecomposition,
     RankPolynomial,
     _canonical_rep,
+    _decimal_buckets,
     _eigvals,
     _pairings,
     _polar,
@@ -449,13 +451,40 @@ class TestPairingMatchesReferenceLoop:
         # theta equal to 9 decimals orders by phi; a theta straddling a rounding boundary orders by theta;
         # at 0.3688888895 Python's correctly rounded round and np.round disagree, so only the former passes
         assert round(0.3688888895, 9) != np.round(0.3688888895, 9)
-        for axes in ([(1.0 + 1e-11, 0.2), (1.0, 0.5)], [(1.0, 0.5), (1.0 + 1e-11, 0.2), (1.0 - 1e-11, 0.2)],
-                     [(0.7000000005 + 1e-13, 0.1), (0.7000000005 - 1e-13, 0.9)], [(0.5, 2.0), (0.5, 2.0 + 1e-12)],
-                     [(0.3688888895, 0.9), (0.3688888895 + 4e-13, 0.1)]):
+        cases = [[(1.0 + 1e-11, 0.2), (1.0, 0.5)], [(1.0, 0.5), (1.0 + 1e-11, 0.2), (1.0 - 1e-11, 0.2)],
+                 [(0.7000000005 + 1e-13, 0.1), (0.7000000005 - 1e-13, 0.9)], [(0.5, 2.0), (0.5, 2.0 + 1e-12)],
+                 [(0.3688888895, 0.9), (0.3688888895 + 4e-13, 0.1)]]
+        # next to halves (m + 1/2) 1e-9 of theta and phi: rounded theta tied while exact theta orders the other way,
+        # and neighbours on both sides of a half
+        for m in (123456789, 368888889, 785398163, 1234567890):
+            below, phi = np.nextafter((m + 0.5) * 1e-9, 0.0), np.nextafter((4 * m + 1.5) * 1e-9, 0.0)
+            above, lower = np.nextafter(below, 2.0), np.nextafter(below, 0.0)
+            cases += [[(below, 0.1), (lower, 0.9)], [(above, 0.1), (below, 0.9)], [(lower, 0.2), (above, 0.2)],
+                      [(0.6, phi), (0.6, np.nextafter(phi, 8.0)), (0.6 + 1e-12, np.nextafter(phi, 0.0))]]
+        near_half = 0
+        for axes in cases:
             points = [pt for theta, phi in axes for pt in ((theta, phi), (math.pi - theta, phi + math.pi))]
             expected = self.assert_same(points)
             key = [(round(ax.theta, 9), round(ax.phi, 9), ax.theta, ax.phi) for ax in expected]
             assert key == sorted(key)
+            scaled = np.array([(ax.theta, ax.phi) for ax in expected]) * 1e9
+            near_half += int((np.abs(scaled - np.floor(scaled) - 0.5) < 1e-5).sum())
+        assert near_half > 10  # these keys take the Python round fallback of _decimal_buckets
+
+    def test_decimal_buckets_are_pythons_round_near_halves(self):
+        rng = np.random.default_rng(34)
+        x = []
+        for m in [123456789, 368888889, 3141592653, 6283185306] + rng.integers(0, 6283185307, size=60).tolist():
+            value = (m + 0.5) * 1e-9
+            for _ in range(4):
+                x += [value, np.nextafter(value, 0.0)]
+                value = np.nextafter(value, 8.0)
+        x = np.array(x)
+        exact = [round(Fraction(value) * 10 ** 9) for value in x.tolist()]  # the exact x 1e9, rounded
+        assert _decimal_buckets(x).tolist() == exact
+        assert [round(value, 9) for value in x.tolist()] == [m / 10 ** 9 for m in exact]  # so they order as round does
+        assert (np.rint(x * 1e9) != exact).any()  # where the product alone would bucket wrongly
+        assert _decimal_buckets(np.array([0.0, 1e-9, 2.5e-10, 7.5e-10, 3.0])).tolist() == [0, 1, 0, 1, 3e9]
 
 
 # The stacked roots and pairing stages as they ran before each became one pass over all rows: the roots
@@ -502,7 +531,7 @@ def reference_root_points(coeffs, deficiency, ks):
     return out
 
 
-def reference_pairings(points, ks):
+def reference_pairings(points, ks, tol=PAIRING_TOL):
     count, n = points.shape[:2]
     real = np.arange(n) < 2 * ks[:, None]
     bad = real & ~np.isfinite(points).all(axis=2)
@@ -520,7 +549,7 @@ def reference_pairings(points, ks):
     both = real[:, :, None] & real[:, None, :]
     cluster = ((np.arctan2(cross, dots) < 1e-3) & both).sum(axis=2).max(axis=1)
     eps = float(np.finfo(float).eps)
-    eff_tol = np.array([max(PAIRING_TOL, 100.0 * eps ** (1.0 / m)) for m in cluster.tolist()])
+    eff_tol = np.array([max(tol, 100.0 * eps ** (1.0 / m)) for m in cluster.tolist()])
     mismatch = np.arctan2(cross, -dots)
     mismatch[~both | np.tri(n, dtype=bool)] = np.inf
     flat_mismatch = mismatch.reshape(count, n * n)
@@ -549,6 +578,34 @@ def reference_pairings(points, ks):
                      for theta, phi in _polar(_canonical_rep(mean)).tolist()]
     order = np.lexsort((*keyed[..., ::-1].transpose(2, 0, 1), ~paired), axis=-1)
     return keyed[every[:, None], order, 2:]
+
+
+def _two_fold(miss):
+    """A point, one 1e-4 rad from it, and their antipodes, the first missed by miss rad."""
+    return [(0.6, 1.2), (0.6 + 1e-4, 1.2), (math.pi - 0.6 + miss, 1.2 + math.pi), (math.pi - 0.6 - 1e-4, 1.2 + math.pi)]
+
+
+# Hand-made root-point sets: an exact tie (the north pole is equally far from the antipodes of both southern
+# points), an exact pair, a set with no antipodal partner, a doubled axis, and two-fold clusters, which widen the
+# tolerance to 100 eps^(1/2) ~ 1.490e-06: their best mismatch 5e-7 pairs (close), 3e-6 not (loose)
+SPECIAL_SETS = {
+    "tie": [(0.0, 0.0), (1e-7, math.pi / 2), (math.pi - 1e-7, 0.0), (math.pi - 1e-7, math.pi)],
+    "pair": [(0.9, 0.4), (math.pi - 0.9, 0.4 + math.pi)],
+    "unpaired": [(0.3, 0.0), (0.4, 1.0)],
+    "triple": [pt for theta, phi in ((0.6, 1.2), (0.6, 1.2), (2.1, 4.0))
+               for pt in ((theta, phi), (math.pi - theta, phi + math.pi))],
+    "close": _two_fold(5e-7),
+    "loose": _two_fold(3e-6),
+}
+
+
+def point_stack(sets):
+    """(points, ks) of a stack of root-point sets, zero-padded to the largest."""
+    ks = np.array([len(pts) // 2 for pts in sets])
+    points = np.zeros((len(sets), 2 * ks.max(), 2))
+    for row, pts in enumerate(sets):
+        points[row, :len(pts)] = pts
+    return points, ks
 
 
 def stage_outcome(stage, *stack):
@@ -684,35 +741,77 @@ class TestSinglePassStagesMatchReference:
             RankPolynomial(k=1, coefficients=[1.0, 0.0, 0.0], degree_deficiency=0)
 
     def test_exact_ties_and_unpaired_sets_in_one_stack(self):
-        eps = 1e-7
-        tie = [(0.0, 0.0), (eps, math.pi / 2), (math.pi - eps, 0.0), (math.pi - eps, math.pi)]
-        pair = [(0.9, 0.4), (math.pi - 0.9, 0.4 + math.pi)]
-        unpaired = [(0.3, 0.0), (0.4, 1.0)]
-        a, b = Axis(0.6, 1.2), Axis(2.1, 4.0)
-        triple = [pt for ax in (a, a, b) for pt in ((ax.theta, ax.phi), (math.pi - ax.theta, ax.phi + math.pi))]
-
-        def two_fold(miss):  # a and a point 1e-4 rad from it, one antipode exact, the other miss rad off
-            return [(0.6, 1.2), (0.6 + 1e-4, 1.2), (math.pi - 0.6 + miss, 1.2 + math.pi),
-                    (math.pi - 0.6 - 1e-4, 1.2 + math.pi)]
-
-        # a two-fold cluster widens the tolerance to 100 eps^(1/2) ~ 1.490e-06: its best mismatch 5e-7 pairs, 3e-6 not
-        close, loose = two_fold(5e-7), two_fold(3e-6)
-
-        def stack(sets):
-            ks = np.array([len(pts) // 2 for pts in sets])
-            points = np.zeros((len(sets), 2 * ks.max(), 2))
-            for row, pts in enumerate(sets):
-                points[row, :len(pts)] = pts
-            return points, ks
-
+        tie, pair, unpaired, triple, close, loose = (SPECIAL_SETS[name] for name in
+                                                     ("tie", "pair", "unpaired", "triple", "close", "loose"))
         for sets in ([tie, pair, triple], [pair, tie + pair, unpaired, tie], [triple, unpaired + pair, unpaired],
                      [pair, close, tie, close], [close, pair, loose, close], [tie, loose + pair, unpaired]):
-            assert stage_outcome(_pairings, *stack(sets)) == stage_outcome(reference_pairings, *stack(sets))
-        assert PAIRING_TOL < 5e-7 and isinstance(stage_outcome(_pairings, *stack([pair, close, tie, close])), bytes)
-        message, _, index = stage_outcome(_pairings, *stack([close, pair, loose, close]))
+            assert stage_outcome(_pairings, *point_stack(sets)) == stage_outcome(reference_pairings, *point_stack(sets))
+        assert PAIRING_TOL < 5e-7
+        assert isinstance(stage_outcome(_pairings, *point_stack([pair, close, tie, close])), bytes)
+        message, _, index = stage_outcome(_pairings, *point_stack([close, pair, loose, close]))
         assert "(best mismatch 3.000e-06 rad > 1.490e-06)" in message and index == 2
         axes = _pairings(np.array([tie]), np.array([2]))[0]  # pairs (0, 2) and (1, 3), scan order on the tie
         assert axes[:, 1] == pytest.approx([math.pi, math.pi / 4], abs=1e-6)
+
+    def test_settled_rows_interleaved_with_scanned_ones(self, monkeypatch):
+        # generic rows and the exact pair settle from v_i . v_j; the other hand-made sets and the clusters of
+        # rotated coherent, Dicke and GHZ states run the scan, wherever they sit in the stack
+        rng = np.random.default_rng(56)
+        generic = [pts for tj in (2, 3, 5, 8) for pts in root_point_sets(random_tensor_components(HalfInt(tj), rng))]
+        states = []
+        for tj in (3, 4, 6):
+            ghz, dicke = np.zeros(tj + 1), np.zeros(tj + 1)
+            ghz[[0, tj]], dicke[tj // 2] = math.sqrt(0.5), 1.0
+            states += [to_tensor(DensityMatrix(np.outer(vec, vec))) for vec in (ghz, dicke)]
+            states.append(to_tensor(symmetrize_pure([Spinor(0.7, 2.3)] * tj)))
+        degenerate = [pts for t in states for pts in root_point_sets(rotate_tensor(t, *rng.uniform(0.3, 2.5, size=3)))]
+        sorted_rows = []
+        argsort = np.argsort
+
+        def spy(a, *args, **kwargs):  # records how many rows reach the scan
+            sorted_rows.append(len(a))
+            return argsort(a, *args, **kwargs)
+
+        scanned = [pts for name, pts in SPECIAL_SETS.items() if name != "pair"]
+        outcomes = set()
+        for trial in range(40):
+            extra = [scanned[trial % 5], scanned[(trial + 2) % 5]][:1 + trial % 2]
+            sets = generic[trial % 7::7] + [SPECIAL_SETS["pair"]] + extra
+            sets = [sets[i] for i in rng.permutation(len(sets))]
+            points, ks = point_stack(sets)
+            expected = stage_outcome(reference_pairings, points, ks)
+            monkeypatch.setattr(np, "argsort", spy)
+            assert stage_outcome(_pairings, points, ks) == expected
+            monkeypatch.undo()
+            assert sorted_rows.pop() == 1 + trial % 2 and not sorted_rows
+            outcomes.add(expected if isinstance(expected, bytes) else expected[1:])
+            sets = generic[trial % 5::5] + degenerate[trial % 11::11]
+            sets = [sets[i] for i in rng.permutation(len(sets))]
+            assert stage_outcome(_pairings, *point_stack(sets)) == stage_outcome(reference_pairings, *point_stack(sets))
+        indices = {outcome[1] for outcome in outcomes if isinstance(outcome, tuple)}
+        assert len(indices) > 3 and any(isinstance(outcome, bytes) for outcome in outcomes)
+
+    def test_point_near_two_antipodes_takes_the_scan(self, monkeypatch):
+        # on the equator, A at 0 is 0.9e-3 rad from the antipode of A' and 0.5e-3 from that of B', B 0.6e-3 from that
+        # of B' and 2e-3 from that of A'; every point's first near antipode (B', A', A, B) is mutual, but the scan
+        # takes (A, B') first and then finds B 2e-3 rad from A''s antipode
+        monkeypatch.setattr(spinaxes.axes, "PAIRING_TOL", 1e-3)
+        phis = [-1.1e-3, 0.0, math.pi + 0.9e-3, math.pi - 0.5e-3]  # B, A, A', B'
+        points, ks = point_stack([[(math.pi / 2, phi % (2 * math.pi)) for phi in phis]])
+        message, stage, index = stage_outcome(_pairings, points, ks)
+        assert (message, stage, index) == stage_outcome(lambda *stack: reference_pairings(*stack, tol=1e-3), points, ks)
+        assert "(best mismatch 2.000e-03 rad > 1.000e-03)" in message and (stage, index) == ("pairing", 0)
+
+    def test_generic_high_j_stack_never_reaches_the_scan(self, monkeypatch):
+        coeffs, deficiency, ks = rank_rows([to_tensor(random_density_matrix(8, np.random.default_rng(57)))])
+        points = _root_points(coeffs, deficiency, ks)
+        expected = reference_pairings(points, ks)
+
+        def argsort(*args, **kwargs):
+            raise AssertionError("the stable argsort of the scan ran")
+
+        monkeypatch.setattr(np, "argsort", argsort)
+        assert _pairings(points, ks).tobytes() == expected.tobytes()
 
     def test_earlier_row_failing_at_pairing_wins_over_a_later_roots_failure(self, monkeypatch):
         coherent = to_tensor(symmetrize_pure([Spinor(0.7, 2.3)] * 6))  # fails to pair at rank 6

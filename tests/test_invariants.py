@@ -203,12 +203,12 @@ class TestPeakMemory:
         assert form.present_ranks == tuple(range(1, 17)) and form.n_axes == 136
         # numpy buffers the two broadcast inputs of an elementwise product, np.getbufsize() items each
         buffered = 2 * np.getbufsize()  # items
-        # pairing: 16 rows of n = 32 points, so one (16, 32, 32) float square is 128 KiB; a call keeps three in its
-        # scratch block, and the argsort of the n (n - 1) / 2 pairs i < j adds their gathered mismatches and their
-        # order, just under one more; the buffers of a float product are counted as if live with all four, and
+        # pairing: 16 rows of n = 32 points, so one (16, 32, 32) float square is 128 KiB; every row of a random state
+        # settles from v_i . v_j, one square, so three squares bound the largest stage, the roots' residual pass with
+        # its (roots, steps) gather; the buffers of a float product are counted as if live with all three, and
         # 64 KiB for the bool masks and the per-state arrays
         square = 16 * 32 * 32 * 8
-        assert traced_peak(lambda: decompose(t)) <= 4 * square + 8 * buffered + 64 * 1024
+        assert traced_peak(lambda: decompose(t)) <= 3 * square + 8 * buffered + 64 * 1024
         # invariants: n = 136 axes, one (136, 136) float square is 144.5 KiB; the call keeps one complex square
         # (two float ones) for the products and one float square for their sum, then the n (n - 1) / 2 values;
         # the buffers of a complex product as if live with all, and 32 KiB for the labels and the small arrays
