@@ -349,8 +349,8 @@ def _ranks(rows: np.ndarray, ks: np.ndarray) -> tuple:
 
 @lru_cache(maxsize=None)
 def _binomial_weights(width: int) -> np.ndarray:
-    """Read-only sqrt(binom(2k, r)) for r < width, one row per k = 0 ... width // 2."""
-    weights = np.sqrt([[math.comb(2 * k, r) for r in range(width)] for k in range(width // 2 + 1)])
+    """Read-only sqrt(binom(2k, r)) for r < width, one row per k = 0 ... width // 2; floats, as combs pass 2^63."""
+    weights = np.sqrt([[float(math.comb(2 * k, r)) for r in range(width)] for k in range(width // 2 + 1)])
     weights.setflags(write=False)
     return weights
 

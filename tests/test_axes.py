@@ -25,6 +25,7 @@ from spinaxes.axes import (
     MultiaxialForm,
     RankDecomposition,
     RankPolynomial,
+    _binomial_weights,
     _canonical_rep,
     _decimal_buckets,
     _eigvals,
@@ -873,6 +874,20 @@ class TestScalarR:
 
 
 class TestDecompose:
+    def test_past_2j_33_decomposes_or_raises_only_library_errors(self):
+        # from 2j = 34 some binom(2k, r) passes 2^63; the weights are still floats, sqrt of each comb as a float
+        width = 2 * 40 + 1
+        expected = [[math.sqrt(math.comb(2 * k, r)) for r in range(width)] for k in range(width // 2 + 1)]
+        assert _binomial_weights(width).tobytes() == np.array(expected).tobytes()
+        # one state of each kind per 2j: the cached 2j = 40 operator basis alone is ~45 MB
+        for tj in (34, 40):
+            rng = np.random.default_rng(tj)
+            for pure in (False, True):
+                try:
+                    decompose(to_tensor(random_density_matrix(HalfInt(tj), rng, pure=pure)))
+                except (DecompositionError, DomainError):
+                    pass
+
     def test_maximally_mixed_all_ranks_empty(self):
         form = decompose(to_tensor(DensityMatrix.maximally_mixed(1.5)))
         assert form.present_ranks == ()

@@ -1,13 +1,19 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from spinaxes.angular import couple
+import spinaxes.invariants
+from spinaxes.angular import _TWO_PI, HalfInt, couple, euler_rotation_cartesian, unit_vector
 from spinaxes.axes import MultiaxialForm, RankDecomposition, decompose
-from spinaxes.errors import DomainError
+from spinaxes.errors import DecompositionError, DomainError, ValidationError
 from spinaxes.invariants import (
+    AXIS_TOL,
+    PAIRWISE_TOL,
+    SCALAR_TOL,
+    InvarianceReport,
     _invariant_stack,
     enumerate_invariants,
     invariant_count,
@@ -15,7 +21,7 @@ from spinaxes.invariants import (
     verify_invariance,
 )
 from spinaxes.states import ChannelParams, channel_mixed, pure_two_spinor, random_density_matrix
-from spinaxes.tensors import DensityMatrix, to_tensor
+from spinaxes.tensors import DensityMatrix, rotate_tensor, to_tensor
 
 SQRT3 = math.sqrt(3.0)
 
@@ -240,3 +246,146 @@ class TestVerifyInvariance:
         rng = np.random.default_rng(33)
         report = verify_invariance(random_density_matrix(1.5, rng), trials=20, seed=4)
         assert report.passed
+
+
+def reference_match_lines(expected, actual):
+    """Greedy +-line matching of unit vectors in Python; the largest matched angle atan2(|e x a|, |e . a|)."""
+    worst = 0.0
+    pool = list(actual)
+    for e in expected:
+        dots = [abs(float(np.dot(e, a))) for a in pool]
+        best = int(np.argmax(dots))
+        worst = max(worst, math.atan2(float(np.linalg.norm(np.cross(e, pool[best]))), dots[best]))
+        pool.pop(best)
+    return worst
+
+
+def reference_verify_invariance(rho, trials=50, seed=0):
+    """verify_invariance as a loop over trials: one decompose and one enumerate_invariants per rotated copy."""
+    rng = np.random.default_rng(seed)
+    base_t = to_tensor(rho)
+    base_form = decompose(base_t)
+    base_inv = enumerate_invariants(base_form)
+    base_scalars = dict(base_inv.scalars)
+    base_abs = base_inv.pairwise_abs_sorted()
+    max_scalar = max_pair = max_axis = 0.0
+    failures = []
+    for trial in range(trials):
+        phi = rng.uniform(0.0, _TWO_PI)
+        theta = math.acos(rng.uniform(-1.0, 1.0))
+        psi = rng.uniform(0.0, _TWO_PI)
+        rot_form = decompose(rotate_tensor(base_t, phi, theta, psi))
+        rot_inv = enumerate_invariants(rot_form)
+        if rot_form.present_ranks != base_form.present_ranks:
+            failures.append(f"trial {trial}: rank structure changed under rotation "
+                            f"(phi={phi!r}, theta={theta!r}, psi={psi!r})")
+            continue
+        for k, r in rot_inv.scalars:
+            max_scalar = max(max_scalar, abs(r - base_scalars[k]))
+        rot_abs = rot_inv.pairwise_abs_sorted()
+        if rot_abs.size == base_abs.size and rot_abs.size:
+            max_pair = max(max_pair, float(np.max(np.abs(rot_abs - base_abs))))
+        mat = euler_rotation_cartesian(phi, theta, psi)
+        for k in base_form.present_ranks:
+            expected = [mat.T @ unit_vector(*angles) for angles in base_form.rank(k).angles.tolist()]
+            actual = [unit_vector(*angles) for angles in rot_form.rank(k).angles.tolist()]
+            max_axis = max(max_axis, reference_match_lines(expected, actual))
+        if max_scalar > SCALAR_TOL or max_pair > PAIRWISE_TOL or max_axis > AXIS_TOL:
+            failures.append(f"trial {trial}: deviation beyond tolerance at rotation "
+                            f"(phi={phi!r}, theta={theta!r}, psi={psi!r}): "
+                            f"scalar {max_scalar:.3e}, pairwise {max_pair:.3e}, axis {max_axis:.3e}")
+            break
+    passed = not failures and max_scalar <= SCALAR_TOL and max_pair <= PAIRWISE_TOL and max_axis <= AXIS_TOL
+    return InvarianceReport(trials=trials, passed=passed, max_scalar_dev=max_scalar, max_pairwise_dev=max_pair,
+                            max_axis_dev=max_axis, failures=tuple(failures))
+
+
+def degenerate_state(kind, tj, rng):
+    """Coherent |j,j>, Dicke |j,m> near m = 0 or GHZ, all along z: rotated copies of them fail or raise from 2j = 4."""
+    vec = np.zeros(tj + 1, dtype=complex)
+    vec[{"coherent": 0, "dicke": tj // 2, "ghz": 0}[kind]] = 1.0
+    if kind == "ghz":
+        vec[-1] = np.exp(1j * rng.uniform(0.0, _TWO_PI))
+        vec /= math.sqrt(2.0)
+    return DensityMatrix(np.outer(vec, vec.conj()))
+
+
+def verify_outcome(fn, rho, trials, seed):
+    """The report with the line-angle figures apart, or the raised error's type, message, rank, stage and index."""
+    try:
+        rep = fn(rho, trials=trials, seed=seed)
+    except (DecompositionError, ValidationError) as exc:
+        return (type(exc), str(exc), getattr(exc, "rank", None), getattr(exc, "stage", None), exc.index), None
+    failures = tuple(re.sub(r"axis \S+$", "axis", f) for f in rep.failures)
+    return (rep.passed, failures, float(rep.max_scalar_dev).hex(), float(rep.max_pairwise_dev).hex()), rep
+
+
+def invariance_corpus():
+    """(rho, trials, seed): seeded random mixed and pure states, and degenerate states that fail or raise."""
+    rng = np.random.default_rng(2026)
+    cases = [(DensityMatrix.maximally_mixed(1), 5, 2), (pure_two_spinor(2 * math.pi / 3), 8, 1)]
+    for tj in (1, 2, 3, 4, 6):
+        cases += [(random_density_matrix(HalfInt(tj), rng, pure=pure), 6, tj) for pure in (False, True)]
+    for kind in ("coherent", "dicke", "ghz"):
+        cases += [(degenerate_state(kind, tj, rng), 8, tj) for tj in (2, 4, 5, 6, 8)]
+    # trial 0 breaks on a tolerance before trial 1 would raise at pairing (a test below spies on it)
+    return cases + [(degenerate_state("coherent", 6, rng), 8, 8)]
+
+
+class TestVerifyInvarianceMatchesReferenceLoop:
+    def test_reports_and_errors_match_on_the_corpus(self):
+        kinds = set()
+        for rho, trials, seed in invariance_corpus():
+            expected, ref = verify_outcome(reference_verify_invariance, rho, trials, seed)
+            actual, rep = verify_outcome(verify_invariance, rho, trials, seed)
+            assert actual == expected, (rho.j, trials, seed)
+            if ref is not None:  # the line angles agree to an ulp or so: numpy's atan2 against the math module's
+                assert rep.max_axis_dev == pytest.approx(ref.max_axis_dev, rel=1e-12, abs=1e-300)
+            kinds.add("raises" if ref is None else "passes" if ref.passed else "fails")
+        assert kinds == {"passes", "fails", "raises"}
+
+    def test_one_core_call_and_one_invariant_pass(self, monkeypatch):
+        calls = []
+
+        def counting(name):
+            real = getattr(spinaxes.invariants, name)
+            return lambda *args: calls.append(name) or real(*args)
+
+        for name in ("_decompose_stack", "_invariant_stack"):
+            monkeypatch.setattr(spinaxes.invariants, name, counting(name))
+        rho = random_density_matrix(HalfInt(3), np.random.default_rng(5))
+        assert verify_invariance(rho, trials=20, seed=5).passed
+        assert calls == ["_decompose_stack", "_invariant_stack"]
+
+    def test_a_trial_past_tolerance_stops_before_a_later_trial_raises(self, monkeypatch):
+        rho = degenerate_state("coherent", 6, None)
+        lengths = []
+        real = spinaxes.invariants._decompose_stack
+        monkeypatch.setattr(spinaxes.invariants, "_decompose_stack",
+                            lambda stack, tj: lengths.append(len(stack)) or real(stack, tj))
+        rep = verify_invariance(rho, trials=8, seed=8)
+        assert lengths == [9, 2]  # the whole stack raises at trial 1, so the state and trial 0 run again
+        assert not rep.passed and len(rep.failures) == 1 and rep.failures[0].startswith("trial 0: deviation")
+
+    def test_a_copy_failing_after_passing_trials_raises_with_index_zero(self, monkeypatch):
+        rho = random_density_matrix(HalfInt(2), np.random.default_rng(9))
+        real = spinaxes.invariants._decompose_stack
+
+        def third_copy_fails(stack, tj):
+            if len(stack) > 3:
+                raise DecompositionError("rank 2: made to fail", rank=2, stage="pairing", index=3)
+            return real(stack, tj)
+
+        monkeypatch.setattr(spinaxes.invariants, "_decompose_stack", third_copy_fails)
+        with pytest.raises(DecompositionError, match="made to fail") as info:
+            verify_invariance(rho, trials=6, seed=9)
+        assert (info.value.index, info.value.rank, info.value.stage) == (0, 2, "pairing")
+
+    def test_line_angle_resolves_below_the_acos_floor(self):
+        # acos(min(1, |cos|)) reads at least ~1.5e-8 for any nonzero rounding in |cos|
+        rng = np.random.default_rng(41)
+        for tj in (2, 3):
+            for pure in (False, True):
+                for seed in range(5):
+                    rep = verify_invariance(random_density_matrix(HalfInt(tj), rng, pure=pure), trials=20, seed=seed)
+                    assert rep.passed and rep.max_axis_dev < 1e-10
