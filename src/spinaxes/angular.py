@@ -1,18 +1,20 @@
 """Numerical angular momentum algebra.
 
-Clebsch-Gordan coefficients and Wigner d/D rotation matrices are evaluated
-from their exact finite-sum expressions with integer factorial arithmetic: a
-Racah sum is one integer over the lcm of its term denominators, and each ratio
-one correctly rounded int / int division, which keeps them accurate to a few
-ulp for the quantum numbers used here (j up to ~10, far past the cancellation
-that ruins float factorials). The tensor operators tau[k,q], normalized to
-``Tr(tau[k,q]^dag tau[k',q']) = (2j+1) delta_kk' delta_qq'``, are built once per
-j from the coefficients that the CG symmetries do not give, the rest filled in
-by sign, as are the coupling tables. The D matrix, and each d and D element,
-contract a cached table of Wigner-sum coefficients over the monomials
-cos(theta/2)^(2j-n) sin(theta/2)^n with the monomial vector (D with two phase
-vectors, computed alike for a matrix and an element). Spherical
-components of unit vectors and the coupling of spherical tensors complete it.
+Clebsch-Gordan coefficients and Wigner d/D rotation matrices are evaluated from
+their exact finite-sum expressions with integer factorial arithmetic: a Racah
+sum is one integer over the lcm of its term denominators, and each ratio one
+correctly rounded int / int division, which keeps them accurate to a few ulp
+for the quantum numbers used here (j up to ~10, far past the cancellation that
+ruins float factorials). The tensor operators tau[k,q], normalized to
+``Tr(tau[k,q]^dag tau[k',q']) = (2j+1) delta_kk' delta_qq'``, are nonzero only
+on their q-th diagonal: those diagonals are built once per j from the
+coefficients that the CG symmetries do not give, the rest filled in by sign, as
+are the coupling tables, and the dense operator stack is scattered from them.
+The D matrix, and each d and D element, contract a cached table of Wigner-sum
+coefficients over the monomials cos(theta/2)^(2j-n) sin(theta/2)^n with the
+monomial vector (D with two phase vectors, computed alike for a matrix and an
+element). Spherical components of unit vectors and the coupling of spherical
+tensors complete it.
 
 Conventions
 -----------
@@ -21,10 +23,10 @@ Conventions
 * Matrix bases are ordered by descending projection, ``m = +j ... -j``.
 * Component arrays of a rank-k spherical tensor are likewise ordered by
   descending projection, ``q = +k ... -k``.
-* The statistical tensor components of a spin-j state, and the stacked
-  operator basis ``tau[k,q]``, are stored flat with k ascending and q
-  descending within each rank: ``t[k,q]`` sits at index ``k^2 + k - q``
-  (:func:`tensor_index`), ``(2j+1)^2`` entries in all.
+* The statistical tensor components of a spin-j state, the stacked
+  operator basis ``tau[k,q]`` and the table of its diagonals are stored flat
+  with k ascending and q descending within each rank: ``t[k,q]`` sits at
+  index ``k^2 + k - q`` (:func:`tensor_index`), ``(2j+1)^2`` entries in all.
 * Euler angles ``(phi, theta, psi)`` follow the z-y-z convention with
 
   ``D[k][q',q](phi, theta, psi) = exp(-i q' phi) d[k][q',q](theta) exp(-i q psi)``
@@ -132,6 +134,14 @@ class HalfInt:
 
 def _twice(value) -> int:
     return HalfInt.coerce(value).twice
+
+
+def _spin(j) -> HalfInt:
+    """j as a HalfInt; a negative j raises DomainError naming it."""
+    jj = HalfInt.coerce(j)
+    if jj.twice < 0:
+        raise DomainError(f"angular momentum must be non-negative, got j={jj}")
+    return jj
 
 
 def _check_projection(tj: int, tm: int, names: str = "m, j") -> None:
@@ -268,9 +278,7 @@ def _wigner_D_rule(tj: int, factors: tuple) -> np.ndarray:
 
 def wigner_D_matrix(j, phi: float, theta: float, psi: float) -> np.ndarray:
     """Full (2j+1) x (2j+1) Wigner D matrix, rows/columns ordered m = +j ... -j, by the D rule rotate_tensor shares."""
-    tj = _twice(j)
-    if tj < 0:
-        raise DomainError(f"angular momentum must be non-negative, got j={HalfInt(tj)}")
+    tj = _spin(j).twice
     return _wigner_D_rule(tj, _rotation_factors(tj, phi, theta, psi))
 
 
@@ -284,25 +292,48 @@ def tensor_index(k: int, q: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _tensor_operator_cached(tj: int) -> np.ndarray:
-    """Read-only stack of every tau[k,q] for j = tj/2, indexed by :func:`tensor_index`.
+def _tensor_diagonals(tj: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only nonzero diagonals of every tau[k,q] for j = tj/2, and the flat positions of their transposes.
 
-    Half of each q >= 0 diagonal is evaluated; C(j k j; m q m') = (-1)^(k+q) C(j k j; -m' q -m)
-    mirrors it and C(j k j; -m -q -m') = (-1)^k C(j k j; m q m') gives q < 0, bit for bit.
+    tau[k,q] is nonzero only where m' = m + q. Row :func:`tensor_index` of the complex ((2j+1)^2, 2j+1) table
+    holds tau[k,q][r, r+q] for r ascending, zero-padded at the end. The same row of the position table holds
+    (r+q) (2j+1) + r, the flat position of the entry [r+q, r] that Tr(rho tau[k,q]) multiplies with it; its
+    padding is 0, entry (0, 0), which is zero in every tau[k,q] with q != 0. Half of each q >= 0 diagonal is
+    evaluated; C(j k j; m q m') = (-1)^(k+q) C(j k j; -m' q -m) mirrors it and C(j k j; -m -q -m') =
+    (-1)^k C(j k j; m q m') gives the q < 0 diagonal reversed, bit for bit.
     """
     dim = tj + 1
-    basis = np.zeros((dim * dim, dim, dim), dtype=complex)
+    table = np.zeros((dim * dim, dim), dtype=complex)
     for k in range(tj + 1):
         scale = math.sqrt(2 * k + 1)
         for q in range(k + 1):
-            op = basis[k * k + k - q]
-            # element (col - q, col) is C(j k j; m q m + q) with m = j - col
+            diag = table[k * k + k - q]
+            # entry col - q is C(j k j; m q m + q) with m = j - col
             for col in range(q, (tj + q) // 2 + 1):
                 v = scale * _cg_exact(tj, 2 * k, tj, tj - 2 * col, 2 * q, tj - 2 * (col - q))
-                op[col - q, col] = v
-                op[tj - col, tj + q - col] = 0.0 - v if (k + q) % 2 else v  # 0.0 - v keeps zeros +0.0
+                diag[col - q] = v
+                diag[tj - col] = 0.0 - v if (k + q) % 2 else v  # 0.0 - v keeps zeros +0.0
             if q:
-                basis[k * k + k + q] = 0.0 - op[::-1, ::-1] if k % 2 else op[::-1, ::-1]
+                table[k * k + k + q, :dim - q] = 0.0 - diag[dim - q - 1::-1] if k % 2 else diag[dim - q - 1::-1]
+    k = np.repeat(np.arange(dim), 2 * np.arange(dim) + 1)
+    q = (k * k + k - np.arange(dim * dim))[:, None]
+    r = np.arange(dim) + np.maximum(-q, 0)
+    positions = np.where(np.arange(dim) < dim - np.abs(q), (r + q) * dim + r, 0)
+    table.setflags(write=False)
+    positions.setflags(write=False)
+    return table, positions
+
+
+@lru_cache(maxsize=None)
+def _tensor_operator_cached(tj: int) -> np.ndarray:
+    """Read-only stack of every tau[k,q] for j = tj/2, indexed by :func:`tensor_index`: the diagonals scattered.
+
+    The padding of :func:`_tensor_diagonals` writes +0.0 over the +0.0 at (0, 0), so the stack has the bits of
+    the diagonals and +0.0 elsewhere.
+    """
+    table, positions = _tensor_diagonals(tj)
+    basis = np.zeros((len(table), tj + 1, tj + 1), dtype=complex)
+    basis[np.arange(len(table))[:, None], positions % (tj + 1), positions // (tj + 1)] = table
     basis.setflags(write=False)
     return basis
 

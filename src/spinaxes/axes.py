@@ -525,8 +525,15 @@ def _pairings(points: np.ndarray, ks: np.ndarray) -> np.ndarray:
     first = np.zeros((count, n // 2), dtype=np.intp)
     first[paired & settled[:, None]] = np.nonzero(real & (np.arange(n) < partner) & settled[:, None])[1]
     second = partner[every, first]
-    ang = _mismatches(vecs[every, first], vecs[every, second], dots[every, first, second], np.empty((3, count, n // 2)))
-    settled &= ~((ang > PAIRING_TOL) & paired).any(axis=1)
+    pair_dots = dots[every, first, second]
+    # -v_i . v_j >= cos(PAIRING_TOL / 2) leaves 1 + v_i . v_j <= ~1.2e-15, and ~2e-15 for the exact vectors after
+    # the rounding of the dot product and of |v| = 1: such a pair misses by at most ~6.7e-8 rad < PAIRING_TOL. Only
+    # rows with a pair short of that bound take the atan2 of their mismatches
+    check = np.flatnonzero(settled & ((-pair_dots < math.cos(PAIRING_TOL / 2)) & paired).any(axis=1))
+    if check.size:
+        ang = _mismatches(vecs[check[:, None], first[check]], vecs[check[:, None], second[check]], pair_dots[check],
+                          np.empty((3, len(check), n // 2)))
+        settled[check] = ~((ang > PAIRING_TOL) & paired[check]).any(axis=1)
     redo = np.flatnonzero(~settled)
     if redo.size:
         sub, both = vecs[redo], real[redo, :, None] & real[redo, None, :]

@@ -377,6 +377,8 @@ def _suite_root_closure(rng, trials: int) -> tuple[float, float]:
 
 
 def cmd_selfcheck(args) -> int:
+    if args.trials < 0:
+        raise DomainError(f"trials={args.trials} must be non-negative")
     rng = np.random.default_rng(args.seed)
     inject = args.inject_fault == "tau-norm"
     suites = [

@@ -163,8 +163,11 @@ def verify_invariance(rho: DensityMatrix, trials: int = 50, seed: int = 0) -> In
 
     The state and all its copies decompose as one stack, and the report reads as a loop over the trials: it stops
     at the first trial past a tolerance, records a trial whose rank structure changed and goes on, and a copy that
-    fails to decompose raises its error, with ``index`` 0, unless an earlier trial stopped the loop.
+    fails to decompose raises its error, with ``index`` 0, unless an earlier trial stopped the loop. A negative
+    trial count raises DomainError.
     """
+    if trials < 0:
+        raise DomainError(f"trials={trials} must be non-negative")
     rng = np.random.default_rng(seed)
     eulers = [(rng.uniform(0.0, _TWO_PI), math.acos(rng.uniform(-1.0, 1.0)), rng.uniform(0.0, _TWO_PI))
               for _ in range(trials)]

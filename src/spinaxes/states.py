@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .angular import _TWO_PI, HalfInt, _polar_angles, unit_vector
+from .angular import _TWO_PI, HalfInt, _polar_angles, _spin, unit_vector
 from .errors import DomainError, ValidationError
 from .tensors import DensityMatrix
 
@@ -224,7 +224,7 @@ def ppt_separable(rho: DensityMatrix) -> PptResult:
 
 def random_density_matrix(j, rng: "np.random.Generator", *, pure: bool = False) -> DensityMatrix:
     """Random unit-trace positive matrix (Ginibre construction) or random pure state."""
-    dim = HalfInt.coerce(j).twice + 1
+    dim = _spin(j).twice + 1
     if pure:
         vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         vec /= np.linalg.norm(vec)

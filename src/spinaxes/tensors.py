@@ -11,19 +11,24 @@ hermiticity of rho is equivalent to t[k,q]* = (-1)^q t[k,-q].
 
 ``TensorComponents.array`` stores all t[k,q] as one read-only flat complex
 array, k ascending and q descending within each rank, t[k,q] at index
-k^2 + k - q: the layout of the stacked operator basis, so expansion and
-resummation are single array contractions. ``_density_stack`` checks an
-(N, d, d) matrix stack, ``_tensor_stack`` expands it into an (N, (2j+1)^2)
-component stack in that layout, and ``_check_tensor_stack`` validates such a
-stack, the lowest failing item raising with ``index`` set; DensityMatrix,
-to_tensor and validate are stacks of one.
+k^2 + k - q: the layout of the stacked operator basis and of the table of
+its diagonals, so expansion and resummation are single array contractions.
+``_density_stack`` checks an (N, d, d) matrix stack, ``_tensor_stack`` expands
+it into an (N, (2j+1)^2) component stack in that layout from the nonzero
+diagonals of tau alone (from_tensor resums over the dense basis derived
+from them), and ``_check_tensor_stack`` validates such a stack, the lowest
+failing item raising with ``index`` set; DensityMatrix, to_tensor and
+validate are stacks of one.
 """
 
 from functools import lru_cache
 
 import numpy as np
 
-from .angular import HalfInt, _rotation_factors, _tensor_operator_cached, _wigner_D_rule, tensor_index, wigner_D_matrix
+from .angular import (
+    HalfInt, _rotation_factors, _spin, _tensor_diagonals, _tensor_operator_cached, _wigner_D_rule, tensor_index,
+    wigner_D_matrix,
+)
 from .errors import DomainError, ValidationError
 
 __all__ = [
@@ -84,7 +89,7 @@ class DensityMatrix:
 
     @classmethod
     def maximally_mixed(cls, j) -> "DensityMatrix":
-        jj = HalfInt.coerce(j)
+        jj = _spin(j)
         dim = jj.twice + 1
         return cls(np.eye(dim) / dim, jj)
 
@@ -106,7 +111,7 @@ class TensorComponents:
     __slots__ = ("j", "array")
 
     def __init__(self, j, components=None):
-        self.j = HalfInt.coerce(j)
+        self.j = _spin(j)
         size = (self.j.twice + 1) ** 2
         if components is None or hasattr(components, "items"):
             arr = np.zeros(size, dtype=complex)
@@ -193,8 +198,14 @@ def _density_stack(arr: np.ndarray, j, tol: float = HERMITICITY_TOL) -> tuple[np
 
 
 def _tensor_stack(arr: np.ndarray, j: HalfInt) -> np.ndarray:
-    """The (N, (2j+1)^2) components of each matrix of a checked (N, d, d) stack of spin j, in one contraction."""
-    return np.einsum("nij,kji->nk", arr, _tensor_operator_cached(j.twice))
+    """The (N, (2j+1)^2) components of each matrix of a checked (N, d, d) stack of spin j, in one contraction.
+
+    t[k,q] = sum_r rho[r+q, r] tau[k,q][r, r+q] over the nonzero diagonal of tau[k,q], r ascending: the order in
+    which the dense sum over every rho[i,j] tau[k,q][j,i] meets them, with the same bits. Scratch: the
+    (N, (2j+1)^2, 2j+1) gather of those entries.
+    """
+    table, positions = _tensor_diagonals(j.twice)
+    return np.einsum("nkp,kp->nk", arr.reshape(len(arr), -1)[:, positions], table)
 
 
 def _conjugation_defects(stack: np.ndarray, tj: int) -> np.ndarray:

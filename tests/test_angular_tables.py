@@ -16,6 +16,7 @@ import pytest
 from spinaxes.angular import (
     HalfInt,
     _couple_table,
+    _tensor_diagonals,
     _tensor_operator_cached,
     _wigner_d_table,
     clebsch_gordan,
@@ -68,6 +69,20 @@ def fraction_tensor_operators(tj: int) -> np.ndarray:
     return basis
 
 
+def fraction_tensor_diagonals(tj: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's tau[k,q][r, r+q], r ascending, zero-padded; and the flat positions (r+q) (2j+1) + r, padded with 0."""
+    dim = tj + 1
+    basis = fraction_tensor_operators(tj)
+    table = np.zeros((dim * dim, dim), dtype=complex)
+    positions = np.zeros((dim * dim, dim), dtype=np.intp)
+    for k in range(tj + 1):
+        for q in range(-k, k + 1):
+            for p, r in enumerate(range(max(0, -q), min(dim, dim - q))):
+                table[tensor_index(k, q), p] = basis[tensor_index(k, q), r, r + q]
+                positions[tensor_index(k, q), p] = (r + q) * dim + r
+    return table, positions
+
+
 def fraction_wigner_d_table(tj: int) -> np.ndarray:
     """Wigner-sum coefficient of each d element over each monomial, square roots of Fractions."""
     dim = tj + 1
@@ -110,6 +125,14 @@ class TestTablesMatchRationalBuilders:
     @pytest.mark.parametrize("tj", range(11))
     def test_tensor_operators(self, tj):
         assert_same_bits(_tensor_operator_cached(tj), fraction_tensor_operators(tj))
+
+    @pytest.mark.parametrize("tj", range(11))
+    def test_tensor_diagonals(self, tj):
+        table, positions = _tensor_diagonals(tj)
+        expected_table, expected_positions = fraction_tensor_diagonals(tj)
+        assert_same_bits(table, expected_table)
+        assert_same_bits(positions, expected_positions)
+        assert not table.flags.writeable and not positions.flags.writeable
 
     @pytest.mark.parametrize("tj", range(13))
     def test_wigner_d_table(self, tj):

@@ -792,6 +792,21 @@ class TestSinglePassStagesMatchReference:
         indices = {outcome[1] for outcome in outcomes if isinstance(outcome, tuple)}
         assert len(indices) > 3 and any(isinstance(outcome, bytes) for outcome in outcomes)
 
+    def test_pairs_missing_by_nearly_the_tolerance(self):
+        # a pair missing by 0.4 PAIRING_TOL settles on its dot product alone, by 0.6 and 0.99 on the atan2 of its
+        # mismatch, and one missing by 1.01 PAIRING_TOL takes the scan and fails to pair
+        def pair(miss, theta, phi):
+            return [(theta, phi), (math.pi - theta + miss * PAIRING_TOL, phi + math.pi)]
+
+        near = [pair(0.4, 0.9, 0.4), pair(0.6, 2.0, 1.0) + pair(0.4, 1.3, 5.0), pair(0.99, 0.7, 2.5),
+                pair(0.99, 1.9, 4.1) + pair(0.6, 0.2, 3.0)]
+        far = [pair(1.01, 1.1, 0.8), pair(0.4, 2.4, 0.3) + pair(1.01, 0.5, 1.7)]
+        for sets in (near, near[:2] + far[:1] + near[2:], far[1:] + near, near[::-1] + far):
+            points, ks = point_stack(sets)
+            expected = stage_outcome(reference_pairings, points, ks)
+            assert stage_outcome(_pairings, points, ks) == expected
+            assert isinstance(expected, bytes) == (sets is near)
+
     def test_point_near_two_antipodes_takes_the_scan(self, monkeypatch):
         # on the equator, A at 0 is 0.9e-3 rad from the antipode of A' and 0.5e-3 from that of B', B 0.6e-3 from that
         # of B' and 2e-3 from that of A'; every point's first near antipode (B', A', A, B) is mutual, but the scan
@@ -879,7 +894,8 @@ class TestDecompose:
         width = 2 * 40 + 1
         expected = [[math.sqrt(math.comb(2 * k, r)) for r in range(width)] for k in range(width // 2 + 1)]
         assert _binomial_weights(width).tobytes() == np.array(expected).tobytes()
-        # one state of each kind per 2j: the cached 2j = 40 operator basis alone is ~45 MB
+        # one state of each kind per 2j; to_tensor reads the diagonals of tau, ~1.7 MB with their positions at
+        # 2j = 40, and builds no dense operator basis, which would be ~45 MB there
         for tj in (34, 40):
             rng = np.random.default_rng(tj)
             for pure in (False, True):

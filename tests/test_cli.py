@@ -383,6 +383,10 @@ class TestSelfcheck:
         assert "vacuous" in out
         assert "rotation-invariance" not in out
 
+    def test_negative_trials_exit_2_with_one_error_line(self, capsys):
+        code, out, err = run(capsys, ["selfcheck", "--trials", "-3"])
+        assert (code, out, err) == (2, "", "error: trials=-3 must be non-negative\n")
+
     def test_injected_fault_fails_named_suite(self, capsys):
         code, out, err = run(capsys, ["selfcheck", "--trials", "0", "--inject-fault", "tau-norm"])
         assert code == 1

@@ -247,6 +247,13 @@ class TestVerifyInvariance:
         report = verify_invariance(random_density_matrix(1.5, rng), trials=20, seed=4)
         assert report.passed
 
+    def test_negative_trials_raise(self):
+        rho = pure_two_spinor(1.0)
+        with pytest.raises(DomainError, match="^trials=-1 must be non-negative$"):
+            verify_invariance(rho, trials=-1)
+        report = verify_invariance(rho, trials=0)
+        assert report.passed and report.trials == 0 and report.failures == ()
+
 
 def reference_match_lines(expected, actual):
     """Greedy +-line matching of unit vectors in Python; the largest matched angle atan2(|e x a|, |e . a|)."""

@@ -259,3 +259,8 @@ class TestRandomDensityMatrix:
     def test_pure_variant(self):
         rho = random_density_matrix(1, np.random.default_rng(45), pure=True)
         assert rho.purity() == pytest.approx(1.0, abs=1e-12)
+
+    def test_negative_j_raises_domain_error(self):
+        for pure in (False, True):
+            with pytest.raises(DomainError, match="angular momentum must be non-negative, got j=-1$"):
+                random_density_matrix(-1, np.random.default_rng(46), pure=pure)

@@ -70,6 +70,12 @@ class TestDensityMatrix:
         assert not rho.is_physical()
         assert DensityMatrix.maximally_mixed(1).is_physical()
 
+    def test_negative_j_raises_domain_error(self):
+        for j in (-1, -0.5):
+            for build in (DensityMatrix.maximally_mixed, TensorComponents):
+                with pytest.raises(DomainError, match=f"must be non-negative, got j={HalfInt.coerce(j)}$"):
+                    build(j)
+
     def test_matrix_is_read_only(self):
         rho = DensityMatrix.maximally_mixed(1)
         with pytest.raises(ValueError):
@@ -217,6 +223,29 @@ class TestStacks:
             expected = per_matrix_tensor(mat, twice_j).tobytes()
             assert row.tobytes() == expected
             assert to_tensor(DensityMatrix(mat)).array.tobytes() == expected
+
+    @pytest.mark.parametrize("twice_j", [*range(21), 34, 40])
+    def test_diagonal_expansion_equals_the_dense_einsum(self, twice_j):
+        rng = np.random.default_rng(200 + twice_j)
+        dim = twice_j + 1
+        mats = [random_state(rng, dim).matrix]
+        if twice_j <= 20:  # then a stack of pure, Ginibre, diagonal and real matrices
+            vecs = [rng.normal(size=(dim, cols)) + 1j * rng.normal(size=(dim, cols)) for cols in (1, 2, dim)]
+            mats += [v @ v.conj().T / np.trace(v @ v.conj().T).real for v in vecs]
+            diag = rng.random(dim)
+            real = rng.normal(size=(dim, dim))
+            mats += [np.diag(diag / diag.sum()), real @ real.T / np.trace(real @ real.T), np.eye(dim) / dim]
+        for stack in (np.array(mats, dtype=complex), *(np.array([mat], dtype=complex) for mat in mats)):
+            # the dense basis built without caching it: ~45 MB at 2j = 40
+            dense = np.einsum("nij,kji->nk", stack, _tensor_operator_cached.__wrapped__(twice_j))
+            assert bits(_tensor_stack(*_density_stack(stack, HalfInt(twice_j)))).tobytes() == bits(dense).tobytes()
+
+    def test_to_tensor_builds_no_dense_operator_basis(self):
+        _tensor_operator_cached.cache_clear()
+        rng = np.random.default_rng(58)
+        for dim in (17, 41):
+            to_tensor(random_state(rng, dim))
+        assert _tensor_operator_cached.cache_info().currsize == 0
 
     @pytest.mark.parametrize("kind", ["non-finite", "non-Hermitian", "trace"])
     def test_stack_check_raises_lowest_matrix_message(self, kind):
