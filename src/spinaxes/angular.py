@@ -9,7 +9,9 @@ ruins float factorials). The tensor operators tau[k,q], normalized to
 ``Tr(tau[k,q]^dag tau[k',q']) = (2j+1) delta_kk' delta_qq'``, are nonzero only
 on their q-th diagonal: those diagonals are built once per j from the
 coefficients that the CG symmetries do not give, the rest filled in by sign, as
-are the coupling tables, and the dense operator stack is scattered from them.
+are the coupling tables. They are the only form of tau that is cached: each
+single operator is placed from its diagonal on demand, and no dense stack of
+all of them is built.
 The D matrix, and each d and D element, contract a cached table of Wigner-sum
 coefficients over the monomials cos(theta/2)^(2j-n) sin(theta/2)^n with the
 monomial vector (D with two phase vectors, computed alike for a matrix and an
@@ -23,10 +25,10 @@ Conventions
 * Matrix bases are ordered by descending projection, ``m = +j ... -j``.
 * Component arrays of a rank-k spherical tensor are likewise ordered by
   descending projection, ``q = +k ... -k``.
-* The statistical tensor components of a spin-j state, the stacked
-  operator basis ``tau[k,q]`` and the table of its diagonals are stored flat
-  with k ascending and q descending within each rank: ``t[k,q]`` sits at
-  index ``k^2 + k - q`` (:func:`tensor_index`), ``(2j+1)^2`` entries in all.
+* The statistical tensor components of a spin-j state and the rows of the
+  table of the diagonals of ``tau[k,q]`` are stored flat with k ascending and
+  q descending within each rank: ``t[k,q]`` sits at index ``k^2 + k - q``
+  (:func:`tensor_index`), ``(2j+1)^2`` entries in all.
 * Euler angles ``(phi, theta, psi)`` follow the z-y-z convention with
 
   ``D[k][q',q](phi, theta, psi) = exp(-i q' phi) d[k][q',q](theta) exp(-i q psi)``
@@ -198,7 +200,7 @@ def clebsch_gordan(j1, j2, j3, m1, m2, m3) -> float:
 
 def wigner_d_small(j, mp, m, theta: float) -> float:
     """Wigner small-d element d^j_{m',m}(theta): its :func:`wigner_D_matrix` table row, contracted alike."""
-    tj, tmp, tm = _twice(j), _twice(mp), _twice(m)
+    tj, tmp, tm = _spin(j).twice, _twice(mp), _twice(m)
     _check_projection(tj, tmp, "m', j")
     _check_projection(tj, tm, "m, j")
     _, cos_pow, sin_pow, _ = _rotation_factors(tj, 0.0, theta, 0.0)
@@ -297,10 +299,11 @@ def _tensor_diagonals(tj: int) -> tuple[np.ndarray, np.ndarray]:
 
     tau[k,q] is nonzero only where m' = m + q. Row :func:`tensor_index` of the complex ((2j+1)^2, 2j+1) table
     holds tau[k,q][r, r+q] for r ascending, zero-padded at the end. The same row of the position table holds
-    (r+q) (2j+1) + r, the flat position of the entry [r+q, r] that Tr(rho tau[k,q]) multiplies with it; its
-    padding is 0, entry (0, 0), which is zero in every tau[k,q] with q != 0. Half of each q >= 0 diagonal is
-    evaluated; C(j k j; m q m') = (-1)^(k+q) C(j k j; -m' q -m) mirrors it and C(j k j; -m -q -m') =
-    (-1)^k C(j k j; m q m') gives the q < 0 diagonal reversed, bit for bit.
+    (r+q) (2j+1) + r, the flat position of the entry [r+q, r] of rho that Tr(rho tau[k,q]) multiplies with it
+    and that tau[k,q]^dag adds to; its padding is 0, entry (0, 0), which is zero in every tau[k,q] with q != 0,
+    so a padded entry adds zero there. Half of each q >= 0 diagonal is evaluated; C(j k j; m q m') =
+    (-1)^(k+q) C(j k j; -m' q -m) mirrors it and C(j k j; -m -q -m') = (-1)^k C(j k j; m q m') gives the q < 0
+    diagonal reversed, bit for bit.
     """
     dim = tj + 1
     table = np.zeros((dim * dim, dim), dtype=complex)
@@ -324,33 +327,22 @@ def _tensor_diagonals(tj: int) -> tuple[np.ndarray, np.ndarray]:
     return table, positions
 
 
-@lru_cache(maxsize=None)
-def _tensor_operator_cached(tj: int) -> np.ndarray:
-    """Read-only stack of every tau[k,q] for j = tj/2, indexed by :func:`tensor_index`: the diagonals scattered.
-
-    The padding of :func:`_tensor_diagonals` writes +0.0 over the +0.0 at (0, 0), so the stack has the bits of
-    the diagonals and +0.0 elsewhere.
-    """
-    table, positions = _tensor_diagonals(tj)
-    basis = np.zeros((len(table), tj + 1, tj + 1), dtype=complex)
-    basis[np.arange(len(table))[:, None], positions % (tj + 1), positions // (tj + 1)] = table
-    basis.setflags(write=False)
-    return basis
-
-
 def tensor_operator(j, k: int, q: int) -> np.ndarray:
     """Irreducible tensor operator tau^k_q in the |j,m> basis (m = +j ... -j).
 
     Matrix elements <j m'|tau^k_q|j m> = sqrt(2k+1) C(j k j; m q m'), which
     yields Tr(tau^k_q^dag tau^k'_q') = (2j+1) delta_kk' delta_qq',
-    tau^k_q^dag = (-1)^q tau^k_{-q}, and tau^0_0 = identity. The returned
-    array is a read-only view into the cached basis of every tau[k,q] for j.
+    tau^k_q^dag = (-1)^q tau^k_{-q}, and tau^0_0 = identity. Each call builds
+    a new read-only (2j+1) x (2j+1) array: the cached q-th diagonal placed in
+    +0.0 elsewhere.
     """
-    tj = _twice(j)
+    tj = _spin(j).twice
     index = tensor_index(k, q)
     if k > tj:
         raise DomainError(f"rank k={k} outside 0 <= k <= 2j for j={HalfInt(tj)}")
-    return _tensor_operator_cached(tj)[index]
+    op = np.diag(_tensor_diagonals(tj)[0][index, :tj + 1 - abs(q)], q)
+    op.setflags(write=False)
+    return op
 
 
 @lru_cache(maxsize=None)

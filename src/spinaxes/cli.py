@@ -30,8 +30,7 @@ import sys
 import numpy as np
 
 from .angular import (
-    HalfInt, _tensor_operator_cached, angle_between, clebsch_gordan, tensor_index, unit_vector,
-    wigner_D_matrix,
+    HalfInt, angle_between, clebsch_gordan, tensor_index, tensor_operator, unit_vector, wigner_D_matrix,
 )
 from .axes import EMPTY_RANK_TOL, _decompose_stack, build_polynomial, decompose, pair_and_canonicalize, solve_axes
 from .errors import DecompositionError, DomainError, StateFileError, ValidationError
@@ -302,7 +301,7 @@ def cmd_sweep(args) -> int:
 def _suite_tau_orthogonality(inject_fault: bool) -> tuple[float, float]:
     worst = 0.0
     for tj in (1, 2, 3, 4):
-        ops = np.array(_tensor_operator_cached(tj))
+        ops = np.array([tensor_operator(HalfInt(tj), k, q) for k in range(tj + 1) for q in range(k, -k - 1, -1)])
         if inject_fault:
             ops[tensor_index(1, 0)] *= 1.001
         dim = tj + 1

@@ -11,14 +11,14 @@ hermiticity of rho is equivalent to t[k,q]* = (-1)^q t[k,-q].
 
 ``TensorComponents.array`` stores all t[k,q] as one read-only flat complex
 array, k ascending and q descending within each rank, t[k,q] at index
-k^2 + k - q: the layout of the stacked operator basis and of the table of
-its diagonals, so expansion and resummation are single array contractions.
-``_density_stack`` checks an (N, d, d) matrix stack, ``_tensor_stack`` expands
-it into an (N, (2j+1)^2) component stack in that layout from the nonzero
-diagonals of tau alone (from_tensor resums over the dense basis derived
-from them), and ``_check_tensor_stack`` validates such a stack, the lowest
-failing item raising with ``index`` set; DensityMatrix, to_tensor and
-validate are stacks of one.
+k^2 + k - q: the layout of the rows of the table of tau's nonzero diagonals,
+so expansion and resummation each read that table once, and no dense
+operator basis is built. ``_density_stack`` checks an (N, d, d) matrix
+stack, ``_tensor_stack`` expands it into an (N, (2j+1)^2) component stack in
+that layout, ``from_tensor`` scatter-adds the diagonals back into a matrix,
+and ``_check_tensor_stack`` validates a component stack, the lowest failing
+item raising with ``index`` set; DensityMatrix, to_tensor and validate are
+stacks of one.
 """
 
 from functools import lru_cache
@@ -26,8 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .angular import (
-    HalfInt, _rotation_factors, _spin, _tensor_diagonals, _tensor_operator_cached, _wigner_D_rule, tensor_index,
-    wigner_D_matrix,
+    HalfInt, _rotation_factors, _spin, _tensor_diagonals, _wigner_D_rule, tensor_index, wigner_D_matrix,
 )
 from .errors import DomainError, ValidationError
 
@@ -229,14 +228,22 @@ def _check_tensor_stack(stack: np.ndarray, tj: int, tol: float) -> None:
 def from_tensor(t: TensorComponents) -> DensityMatrix:
     """Rebuild the density matrix (1/(2j+1)) sum t[k,q] tau[k,q]^dag.
 
-    Conjugation-symmetry violations beyond RESUM_TOL raise ValidationError.
-    Positivity is not checked; inspect DensityMatrix.min_eigenvalue() for that.
+    rho[r+q, r] = (1/(2j+1)) sum_k t[k,q] conj(tau[k,q][r, r+q]) over the nonzero diagonals of tau, added up in
+    row order of their table (k ascending). Conjugation-symmetry violations beyond RESUM_TOL raise
+    ValidationError. Positivity is not checked; inspect DensityMatrix.min_eigenvalue() for that.
     """
     t.validate(RESUM_TOL)
     dim = t.j.twice + 1
-    # sum t tau^dag = (sum conj(t) tau)^dag, which needs no conjugated copy of the basis; tensordot's (1, d^2) product
-    acc = (t.array.conj()[None] @ _tensor_operator_cached(t.j.twice).reshape(dim * dim, -1)).reshape(dim, dim)
-    return DensityMatrix(acc.conj().T / dim, t.j, tol=RESUM_TOL)
+    table, positions = _tensor_diagonals(t.j.twice)
+    x = t.array[:, None]
+    # t conj(tau) with the real and imaginary parts written out, as in couple: numpy's complex array product may
+    # fuse multiply-adds, so its bits could differ between CPUs
+    real = x.real * table.real + x.imag * table.imag
+    imag = x.imag * table.real - x.real * table.imag
+    acc = np.empty(dim * dim, dtype=complex)
+    acc.real = np.bincount(positions.ravel(), weights=real.ravel(), minlength=dim * dim) / dim
+    acc.imag = np.bincount(positions.ravel(), weights=imag.ravel(), minlength=dim * dim) / dim
+    return DensityMatrix(acc.reshape(dim, dim), t.j, tol=RESUM_TOL)
 
 
 def rotate_tensor(t: TensorComponents, phi: float, theta: float, psi: float) -> TensorComponents:

@@ -181,6 +181,18 @@ class TestWignerD:
         with pytest.raises(DomainError):
             wigner_D_matrix(HalfInt(-1), 0.0, 0.5, 0.0)
 
+    @pytest.mark.parametrize("j, shown", [(-1, "-1"), (HalfInt(-1), "-1/2")], ids=["j=-1", "j=-1/2"])
+    def test_negative_j_raises_one_error_everywhere(self, j, shown):
+        calls = [
+            lambda: wigner_D_matrix(j, 0.0, 0.5, 0.0),
+            lambda: wigner_d_small(j, 0, 0, 0.5),
+            lambda: wigner_D(j, 0, 0, 0.0, 0.5, 0.0),
+            lambda: tensor_operator(j, 0, 0),
+        ]
+        for call in calls:
+            with pytest.raises(DomainError, match=f"^angular momentum must be non-negative, got j={shown}$"):
+                call()
+
     @pytest.mark.parametrize("slot", [0, 1, 2])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_euler_angles_raise_naming_the_angle(self, slot, bad):

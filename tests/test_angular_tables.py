@@ -17,10 +17,10 @@ from spinaxes.angular import (
     HalfInt,
     _couple_table,
     _tensor_diagonals,
-    _tensor_operator_cached,
     _wigner_d_table,
     clebsch_gordan,
     tensor_index,
+    tensor_operator,
 )
 
 
@@ -124,7 +124,8 @@ def assert_same_bits(got, expected):
 class TestTablesMatchRationalBuilders:
     @pytest.mark.parametrize("tj", range(11))
     def test_tensor_operators(self, tj):
-        assert_same_bits(_tensor_operator_cached(tj), fraction_tensor_operators(tj))
+        ops = [tensor_operator(HalfInt(tj), k, q) for k in range(tj + 1) for q in range(k, -k - 1, -1)]
+        assert_same_bits(np.array(ops), fraction_tensor_operators(tj))
 
     @pytest.mark.parametrize("tj", range(11))
     def test_tensor_diagonals(self, tj):

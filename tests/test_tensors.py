@@ -1,9 +1,11 @@
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from spinaxes.angular import HalfInt, _tensor_operator_cached, tensor_operator, wigner_D_matrix
+from spinaxes.angular import HalfInt, _tensor_diagonals, tensor_operator, wigner_D_matrix
 from spinaxes.errors import DomainError, ValidationError
 from spinaxes.tensors import (
     DensityMatrix,
@@ -193,10 +195,36 @@ class TestToTensor:
                 assert abs(t[(k, 0)].imag) < 1e-13
 
 
+def dense_basis(tj):
+    """Every tau[k,q] for j = tj/2 stacked in the flat layout: (2j+1)^4 numbers, ~45 MB at 2j = 40."""
+    return np.array([tensor_operator(HalfInt(tj), k, q) for k in range(tj + 1) for q in range(k, -k - 1, -1)])
+
+
 def per_matrix_tensor(mat, tj):
     """t[k,q] = Tr(rho tau[k,q]) of one matrix, in the per-matrix contraction the stacked expansion replaced."""
-    basis = np.array([tensor_operator(HalfInt(tj), k, q) for k in range(tj + 1) for q in range(k, -k - 1, -1)])
-    return np.einsum("ij,nji->n", mat, basis)
+    return np.einsum("ij,nji->n", mat, dense_basis(tj))
+
+
+def row_order_resum(t, number):
+    """Per flat position of rho, sum_k t[k,q] conj(tau[k,q][r, r+q]) as real and imaginary parts, and the sums of
+    the magnitudes of the products that make up each part, in `number` arithmetic (float or Fraction).
+
+    The diagonals are walked in row order of their table, padding included, and each product's parts are written
+    out as explicit multiplies, so the float sums carry from_tensor's bits before its division on any CPU.
+    """
+    dim = t.j.twice + 1
+    table, positions = _tensor_diagonals(t.j.twice)
+    sums = [[number(0)] * (dim * dim) for _ in range(4)]
+    real, imag, real_size, imag_size = sums
+    for value, taus, flat in zip(t.array.tolist(), table.tolist(), positions.tolist()):
+        tr, ti = number(value.real), number(value.imag)
+        for tau, pos in zip(taus, flat):
+            ar, ai = number(tau.real), number(tau.imag)
+            real[pos] += tr * ar + ti * ai
+            imag[pos] += ti * ar - tr * ai
+            real_size[pos] += abs(tr * ar) + abs(ti * ai)
+            imag_size[pos] += abs(ti * ar) + abs(tr * ai)
+    return sums
 
 
 def bad_matrix(kind):
@@ -235,17 +263,25 @@ class TestStacks:
             diag = rng.random(dim)
             real = rng.normal(size=(dim, dim))
             mats += [np.diag(diag / diag.sum()), real @ real.T / np.trace(real @ real.T), np.eye(dim) / dim]
+        basis = dense_basis(twice_j)
         for stack in (np.array(mats, dtype=complex), *(np.array([mat], dtype=complex) for mat in mats)):
-            # the dense basis built without caching it: ~45 MB at 2j = 40
-            dense = np.einsum("nij,kji->nk", stack, _tensor_operator_cached.__wrapped__(twice_j))
+            dense = np.einsum("nij,kji->nk", stack, basis)
             assert bits(_tensor_stack(*_density_stack(stack, HalfInt(twice_j)))).tobytes() == bits(dense).tobytes()
 
-    def test_to_tensor_builds_no_dense_operator_basis(self):
-        _tensor_operator_cached.cache_clear()
-        rng = np.random.default_rng(58)
-        for dim in (17, 41):
-            to_tensor(random_state(rng, dim))
-        assert _tensor_operator_cached.cache_info().currsize == 0
+    @pytest.mark.parametrize("twice_j", [40, 41])  # 2j = 41 is used by no other test, so no earlier test warms it
+    def test_no_dense_operator_basis_is_built(self, twice_j):
+        rho = random_state(np.random.default_rng(58 + twice_j), twice_j + 1)
+        _tensor_diagonals(twice_j)  # the cached diagonals, ~1.7 MB, are built before tracing starts
+        tracemalloc.start()
+        try:
+            back = from_tensor(to_tensor(rho))
+            op = tensor_operator(rho.j, twice_j, -3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.max(np.abs(back.matrix - rho.matrix)) < 1e-12 and op.shape == (twice_j + 1,) * 2
+        # each call's scratch, ~1.9 MB at 2j = 41; the dense basis is ~45 MB at 2j = 40 and ~50 MB at 41
+        assert peak < 4e6
 
     @pytest.mark.parametrize("kind", ["non-finite", "non-Hermitian", "trace"])
     def test_stack_check_raises_lowest_matrix_message(self, kind):
@@ -299,12 +335,30 @@ class TestFromTensor:
                       for k in range(dim) for q in range(-k, k + 1))
             assert dev < 1e-12
 
-    def test_matches_the_tensordot_form_bit_for_bit(self):
+    def test_matches_a_row_order_loop_bit_for_bit(self):
         rng = np.random.default_rng(52)
-        for tj in range(1, 17):
+        for tj in [*range(1, 17), 34]:
             t = random_tensor_components(HalfInt(tj), rng, scale=0.2)
-            acc = np.tensordot(t.array.conj(), _tensor_operator_cached(tj), axes=1).conj().T
-            assert np.array_equal(bits(from_tensor(t).matrix), bits(acc / (tj + 1)))
+            dim = tj + 1
+            real, imag, _, _ = row_order_resum(t, float)
+            expected = np.array([complex(a / dim, b / dim) for a, b in zip(real, imag)]).reshape(dim, dim)
+            assert np.array_equal(bits(from_tensor(t).matrix), bits(expected))
+
+    def test_within_the_rounding_bound_of_an_exact_rebuild(self):
+        # each entry's real (imaginary) part sums at most 2 (2j+1) float products and is divided once, so it lies
+        # within gamma_(2 (2j+1) + 1) sum |product| / (2j+1) of the rational sum over the same float inputs
+        rng = np.random.default_rng(53)
+        for tj in [*range(1, 17), 34]:
+            t = random_tensor_components(HalfInt(tj), rng, scale=0.2)
+            dim = tj + 1
+            m = 2 * dim + 1
+            gamma = m * 2.0 ** -53 / (1 - m * 2.0 ** -53)
+            bound = Fraction(gamma)
+            got = from_tensor(t).matrix.ravel().tolist()
+            for value, *exact in zip(got, *row_order_resum(t, Fraction)):
+                real, imag, real_size, imag_size = (part / dim for part in exact)
+                assert abs(Fraction(value.real) - real) <= bound * real_size
+                assert abs(Fraction(value.imag) - imag) <= bound * imag_size
 
     def test_rejects_conjugation_violation(self):
         t = TensorComponents(1, {(1, 1): 0.5, (1, -1): 0.5})
