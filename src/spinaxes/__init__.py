@@ -13,8 +13,8 @@ from .angular import (
     wigner_D_matrix, wigner_d_small,
 )
 from .axes import (
-    Axis, MultiaxialForm, RankDecomposition, RankPolynomial, build_polynomial, coupled_axes_tensor, decompose,
-    decompose_many, pair_and_canonicalize, reconstruct_tensor, scalar_r, solve_axes,
+    MultiaxialForm, RankDecomposition, RankPolynomial, build_polynomial, coupled_axes_tensor, decompose, decompose_many,
+    pair_and_canonicalize, reconstruct_tensor, scalar_r, solve_axes,
 )
 from .errors import DecompositionError, DomainError, StateFileError, ValidationError
 from .invariants import (
@@ -31,7 +31,7 @@ from .tensors import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Axis", "ChannelParams", "DecompositionError", "DensityMatrix", "DomainError", "HalfInt", "InvarianceReport",
+    "ChannelParams", "DecompositionError", "DensityMatrix", "DomainError", "HalfInt", "InvarianceReport",
     "InvariantSet", "MultiaxialForm", "PptResult", "RankDecomposition", "RankPolynomial", "Spinor", "StateFileError",
     "TensorComponents", "ValidationError", "build_polynomial", "channel_mixed", "clebsch_gordan", "couple",
     "coupled_axes_tensor", "decompose", "decompose_many", "enumerate_invariants", "euler_rotation_cartesian",

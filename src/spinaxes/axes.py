@@ -15,13 +15,13 @@ the nested stretched coupling of the k axes:
 
 A spin-j state thus maps to j(2j+1) axes plus 2j non-negative scalars.
 
-Every stage works on all (item, rank) rows of an (N, (2j+1)^2) component
-stack in one pass, and the core returns arrays (:func:`_decompose_stack`);
-the single-item functions run the same code on a stack of one. Root points
-and axes travel as zero-padded (theta, phi) arrays, one row per (item, rank),
-the azimuths wrapped by :func:`spinaxes.angular._wrap_azimuth`, the rule Axis applies.
-A RankDecomposition holds its axes as a read-only (k, 2) array of (theta, phi), from
-:func:`decompose_many` a view into its item's own block; it builds Axis objects only when asked for ``axes``.
+Every stage works on all (item, rank) rows of an (N, (2j+1)^2) component stack in one pass, and the core
+returns arrays (:func:`_decompose_stack`); the single-item functions run the same code on a stack of one.
+An (n, 2) float array of (theta, phi), theta in [0, pi] and phi wrapped into [0, 2 pi) by
+:func:`spinaxes.angular._wrap_azimuth`, is the only axis type: root points and axes travel as zero-padded
+stacks of them, one row per (item, rank), the stage functions return read-only ones, and a RankDecomposition
+holds its k axes as one, from :func:`decompose_many` a view into its item's own block. Axes from outside pass
+through :func:`_as_angles`, which checks, clamps and wraps each row.
 """
 
 import cmath
@@ -32,12 +32,11 @@ from itertools import repeat
 
 import numpy as np
 
-from .angular import HalfInt, _polar_angles, _wrap_azimuth, angle_between, couple, unit_vector, unit_vector_components
+from .angular import HalfInt, _polar_angles, _wrap_azimuth, couple, unit_vector, unit_vector_components
 from .errors import DecompositionError, DomainError, ValidationError
 from .tensors import TensorComponents, _check_tensor_stack
 
 __all__ = [
-    "Axis",
     "MultiaxialForm",
     "RankDecomposition",
     "RankPolynomial",
@@ -60,41 +59,6 @@ RESIDUAL_TOL = 1e-8          # reconstruction residual accepted by decompose
 INPUT_TOL = 1e-8             # |t[0,0] - 1| and conjugation defect of the tensors decompose accepts
 
 _EPS = float(np.finfo(float).eps)
-
-
-@dataclass(frozen=True)
-class Axis:
-    """Unit axis direction, canonically parameterized by polar angles."""
-
-    theta: float
-    phi: float
-
-    def __post_init__(self):
-        theta, phi = _polar_angles(self.theta, self.phi, 1e-9)
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "phi", phi)
-
-    @classmethod
-    def from_cartesian(cls, vec) -> "Axis":
-        return cls(*_polar(np.asarray(vec, dtype=float).reshape(1, 3))[0].tolist())
-
-    @property
-    def cartesian(self) -> np.ndarray:
-        return unit_vector(self.theta, self.phi)
-
-    @property
-    def components(self) -> np.ndarray:
-        """Rank-1 spherical components, ordered (+1, 0, -1)."""
-        return unit_vector_components(self.theta, self.phi)
-
-    def antipode(self) -> "Axis":
-        return Axis(math.pi - self.theta, self.phi + math.pi)
-
-    def dot(self, other: "Axis") -> float:
-        return float(np.dot(self.cartesian, other.cartesian))
-
-    def angle_to(self, other: "Axis") -> float:
-        return angle_between(self.cartesian, other.cartesian)
 
 
 @dataclass(frozen=True)
@@ -123,7 +87,7 @@ class RankPolynomial:
 
 @dataclass(frozen=True, eq=False)
 class RankDecomposition:
-    """k axes as a read-only (k, 2) ``angles`` of (theta, phi), or given as Axis; r_k >= 0, flipped and residual."""
+    """k axes as read-only (k, 2) ``angles`` of (theta, phi), via :func:`_as_angles`; r_k >= 0, flipped, residual."""
 
     angles: np.ndarray
     r: float
@@ -133,9 +97,7 @@ class RankDecomposition:
     def __post_init__(self):
         object.__setattr__(self, "angles", _as_angles(self.angles))
 
-    @property
-    def axes(self) -> tuple[Axis, ...]:
-        return tuple(Axis(theta, phi) for theta, phi in self.angles.tolist())
+    axes = property(lambda self: self.angles, doc="An alias of ``angles``.")
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,20 +150,21 @@ def build_polynomial(t: TensorComponents, k: int):
     return RankPolynomial(k=k, coefficients=coeffs[0], degree_deficiency=int(deficiency[0]))
 
 
-def solve_axes(poly: RankPolynomial) -> list[tuple[float, float]]:
-    """All 2k root points (theta, phi), with deficiency roots placed at theta = 0.
+def solve_axes(poly: RankPolynomial) -> np.ndarray:
+    """All 2k root points (theta, phi), a read-only (2k, 2) array, with deficiency roots placed at theta = 0.
 
     Finite roots come from the companion-matrix eigensolve (as np.roots), sorted by real, then imaginary
     part, and are checked against a residual bound of ROOT_RESIDUAL_TOL relative to the coefficient scale,
     times max(1, |Z|)^degree (for |Z| > 1 both sides are divided by it, so neither overflows); the first
     root that misses it raises DecompositionError with diagnostics.
     """
-    points = _root_points(poly.coefficients[None], np.array([poly.degree_deficiency]), np.array([poly.k]))
-    return [tuple(point) for point in points[0].tolist()]
+    points = _root_points(poly.coefficients[None], np.array([poly.degree_deficiency]), np.array([poly.k]))[0]
+    points.setflags(write=False)
+    return points
 
 
-def pair_and_canonicalize(points) -> list[Axis]:
-    """Match the 2k root points into antipodal pairs and pick one axis per pair.
+def pair_and_canonicalize(points) -> np.ndarray:
+    """Match the 2k root points (theta, phi) into antipodal pairs and pick one axis per pair, a read-only (k, 2) array.
 
     Greedy nearest-antipode matching: a scan of the pairs i < j by atan2(|v_i x v_j|, -v_i . v_j), row-major on
     ties, takes each pair of two unmatched points, at each step the first row-major minimum over them. When each
@@ -212,13 +175,13 @@ def pair_and_canonicalize(points) -> list[Axis]:
     sorted by (theta, phi) rounded to 9 decimals, then by the exact (theta, phi). Unpairable points signal
     a conjugation-symmetry violation upstream and raise DecompositionError, as do non-finite ones.
     """
-    pts = list(points)
-    if len(pts) % 2:
-        raise DecompositionError(f"expected an even number of root points, got {len(pts)}", stage="pairing", index=0)
-    if not pts:
-        return []
-    angles = _pairings(np.array(pts, dtype=float).reshape(1, len(pts), 2), np.array([len(pts) // 2]))
-    return [Axis(theta, phi) for theta, phi in angles[0].tolist()]
+    pts = np.array(list(points), dtype=float).reshape(1, -1, 2)
+    n = pts.shape[1]
+    if n % 2:
+        raise DecompositionError(f"expected an even number of root points, got {n}", stage="pairing", index=0)
+    angles = _pairings(pts, np.array([n // 2]))[0] if n else np.zeros((0, 2))
+    angles.setflags(write=False)
+    return angles
 
 
 def coupled_axes_tensor(axes) -> np.ndarray:
@@ -290,7 +253,7 @@ def _decompose_stack(stack: np.ndarray, tj: int) -> tuple:
     """Arrays (present, angles, r, flipped, residual) of an (N, (2j+1)^2) component stack; raises as decompose_many.
 
     Entry [i, k - 1] of each is rank k of item i: present or not, the (theta, phi) of its k axes (zero-padded
-    to 2j, as :class:`Axis` stores them), r_k, flipped, residual; every one 0 where the rank is absent.
+    to 2j, theta in [0, pi] and phi in [0, 2 pi)), r_k, flipped, residual; every one 0 where the rank is absent.
     """
     ks, cols, count = np.arange(1, tj + 1), np.arange(2 * tj + 1), len(stack)
     error = None
@@ -340,7 +303,7 @@ def _ranks(rows: np.ndarray, ks: np.ndarray) -> tuple:
         k = int(ks[exc.index])
         raise DecompositionError(f"rank {k}: {exc}", rank=k, stage=exc.stage, index=int(items[exc.index])) from exc
     flips = np.flatnonzero(flipped[items])
-    last = ks[flips] - 1  # the last axis of a flipped row becomes its antipode, as Axis.antipode makes it
+    last = ks[flips] - 1  # the last axis of a flipped row becomes its antipode (pi - theta, phi + pi wrapped)
     pairs[flips, last, 0] = math.pi - pairs[flips, last, 0]  # theta in [0, pi] from _polar stays there
     pairs[flips, last, 1] = _wrap_azimuth(pairs[flips, last, 1] + math.pi)
     angles[items, :pairs.shape[1]] = pairs
@@ -465,7 +428,7 @@ def _canonical_rep(u: np.ndarray) -> np.ndarray:
 
 
 def _polar(vecs: np.ndarray) -> np.ndarray:
-    """(theta, phi) of each row of stacked 3-vectors as :class:`Axis` holds it, the inverse of unit_vector.
+    """(theta, phi) of each row of stacked 3-vectors, theta in [0, pi] and phi in [0, 2 pi), the inverse of unit_vector.
 
     At the poles the azimuth is noise and is set to 0. A zero vector raises DomainError. Python's acos, atan2
     and hypot give the bits: numpy's arccos and arctan2 do not always match them.
@@ -626,10 +589,17 @@ def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _as_angles(axes) -> np.ndarray:
-    """A sequence of Axis, or an array of (theta, phi) rows, as a read-only float array; a read-only one is kept."""
-    if isinstance(axes, np.ndarray) and axes.dtype == float and not axes.flags.writeable:
-        return axes
-    angles = np.array(axes if isinstance(axes, np.ndarray) else [(ax.theta, ax.phi) for ax in axes], dtype=float)
+    """Axes from outside, any (n, 2) array-like of (theta, phi) rows (else DomainError), as a read-only float array.
+
+    Each row passes through :func:`spinaxes.angular._polar_angles` with slack 1e-9, which raises DomainError or clamps
+    theta into [0, pi] (-0.0 kept) and wraps phi. A read-only float array, as the library makes them, is kept.
+    """
+    rows = np.asarray(axes, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != 2:
+        raise DomainError(f"axes need an (n, 2) array of (theta, phi), got shape {rows.shape}")
+    if rows is axes and not rows.flags.writeable:
+        return rows
+    angles = np.array([_polar_angles(theta, phi, 1e-9) for theta, phi in rows.tolist()]).reshape(rows.shape)
     angles.setflags(write=False)
     return angles
 

@@ -267,8 +267,7 @@ def cmd_analyze(args) -> int:
         print(f"error: decomposition failed: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     if args.json:
-        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
+        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")  # one write, not json.dump's millions
     else:
         _print_analysis(payload, sys.stdout)
     return EXIT_OK

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from sympy import Rational
 from sympy.physics.quantum.cg import CG as SympyCG
 from sympy.physics.quantum.spin import Rotation as SympyRotation
 
+import spinaxes.axes
 from spinaxes.angular import (
     HalfInt,
     _wrap_azimuth,
@@ -13,14 +15,16 @@ from spinaxes.angular import (
     couple,
     euler_rotation_cartesian,
     tensor_operator,
+    unit_vector,
     unit_vector_components,
     wigner_D,
     wigner_D_matrix,
     wigner_d_small,
 )
-from spinaxes.axes import Axis
+from spinaxes.axes import RankDecomposition, coupled_axes_tensor, scalar_r
 from spinaxes.errors import DomainError
 from spinaxes.states import Spinor
+from spinaxes.tensors import TensorComponents
 
 
 class TestHalfInt:
@@ -315,10 +319,8 @@ class TestCouple:
         for _ in range(50):
             ta, pa = math.acos(rng.uniform(-1, 1)), rng.uniform(0, 2 * math.pi)
             tb, pb = math.acos(rng.uniform(-1, 1)), rng.uniform(0, 2 * math.pi)
-            va = Axis(ta, pa)
-            vb = Axis(tb, pb)
-            dot = float(np.dot(va.cartesian, vb.cartesian))
-            value = couple(va.components, vb.components, 0)[0]
+            dot = float(np.dot(unit_vector(ta, pa), unit_vector(tb, pb)))
+            value = couple(unit_vector_components(ta, pa), unit_vector_components(tb, pb), 0)[0]
             assert value.real == pytest.approx(-dot / math.sqrt(3), abs=1e-14)
 
     def test_triangle_violation(self):
@@ -328,9 +330,35 @@ class TestCouple:
 
 
 def scalar_wrap(phi: float) -> float:
-    """The scalar azimuth wrap that Axis and Spinor applied before the rule became shared with arrays."""
+    """The azimuth wrap rule on one float, written out: the reference for _wrap_azimuth."""
     phi = phi % (2.0 * math.pi)
     return 0.0 if 2.0 * math.pi - phi < 1e-12 else phi
+
+
+def coupled_input(call):
+    """The (theta, phi) of the one axis that call hands to spinaxes.axes._coupled, where axes are coupled."""
+    seen, real = [], spinaxes.axes._coupled
+    with mock.patch.object(spinaxes.axes, "_coupled", lambda angles, ks: seen.append(angles) or real(angles, ks)):
+        call()
+    return tuple(seen[0][0, 0].tolist())
+
+
+def rank_angles(theta, phi):
+    return tuple(RankDecomposition(np.array([[theta, phi]]), 1.0, False, 0.0).angles[0].tolist())
+
+
+def spinor_angles(theta, phi):
+    spinor = Spinor(theta, phi)
+    return spinor.theta, spinor.phi
+
+
+# each maps one outside (theta, phi) to the (theta, phi) it holds, through the rule of spinaxes.angular._polar_angles
+HELD_ANGLES = {
+    "RankDecomposition": rank_angles,
+    "coupled_axes_tensor": lambda theta, phi: coupled_input(lambda: coupled_axes_tensor([(theta, phi)])),
+    "scalar_r": lambda theta, phi: coupled_input(lambda: scalar_r(TensorComponents(1), 1, [(theta, phi)])),
+    "Spinor": spinor_angles,
+}
 
 
 class TestPolarAngles:
@@ -352,22 +380,25 @@ class TestPolarAngles:
         assert math.copysign(1.0, _wrap_azimuth(-0.0)) == 1.0 and _wrap_azimuth(-1e-13) == 0.0
         assert 0.0 <= expected.min() and expected.max() < self.two_pi
 
-    @pytest.mark.parametrize("cls, slack", [(Axis, 1e-9), (Spinor, 1e-12)])
-    def test_theta_slack_edges(self, cls, slack):
-        assert cls(-slack, 1.0).theta == 0.0
-        assert cls(math.pi + slack, 1.0).theta == math.pi
+    @pytest.mark.parametrize("entry, slack", [("RankDecomposition", 1e-9), ("coupled_axes_tensor", 1e-9),
+                                              ("scalar_r", 1e-9), ("Spinor", 1e-12)])
+    def test_theta_slack_edges(self, entry, slack):
+        held = HELD_ANGLES[entry]
+        assert held(-slack, 1.0)[0] == 0.0
+        assert held(math.pi + slack, 1.0)[0] == math.pi
         for theta in (-2 * slack, math.pi + 2 * slack):
             with pytest.raises(DomainError, match=f"^theta={theta} outside \\[0, pi\\]$"):
-                cls(theta, 1.0)
-        assert math.copysign(1.0, cls(-0.0, 1.0).theta) == -1.0  # a clamp by max(theta, 0.0) keeps -0.0
-        assert (cls(0.3, -1e-13).phi, cls(0.3, 1e6).phi) == (0.0, scalar_wrap(1e6))
+                held(theta, 1.0)
+        assert math.copysign(1.0, held(-0.0, 1.0)[0]) == -1.0  # a clamp by max(theta, 0.0) keeps -0.0
+        assert (held(0.3, -1e-13)[1], held(0.3, 1e6)[1]) == (0.0, scalar_wrap(1e6))
 
-    @pytest.mark.parametrize("cls", [Axis, Spinor])
-    def test_non_finite_angle_messages(self, cls):
+    @pytest.mark.parametrize("entry", HELD_ANGLES)
+    def test_non_finite_angle_messages(self, entry):
+        held = HELD_ANGLES[entry]
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(DomainError, match=f"^theta={bad} outside \\[0, pi\\]$"):
-                cls(bad, 1.0)
+                held(bad, 1.0)
             with pytest.raises(DomainError, match=f"^azimuth phi={bad} is not finite$"):
-                cls(0.3, bad)
+                held(0.3, bad)
         with pytest.raises(DomainError, match="^theta=nan outside"):  # theta is checked first
-            cls(math.nan, math.nan)
+            held(math.nan, math.nan)

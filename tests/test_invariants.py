@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import spinaxes.invariants
-from spinaxes.angular import _TWO_PI, HalfInt, couple, euler_rotation_cartesian, unit_vector
+from spinaxes.angular import _TWO_PI, HalfInt, couple, euler_rotation_cartesian, unit_vector, unit_vector_components
 from spinaxes.axes import MultiaxialForm, RankDecomposition, decompose
 from spinaxes.errors import DecompositionError, DomainError, ValidationError
 from spinaxes.invariants import (
@@ -108,15 +108,15 @@ class TestEnumerate:
         for tj in (1, 2, 5, 12, 16):
             form = decompose(to_tensor(random_density_matrix(tj / 2, rng)))
             inv = enumerate_invariants(form)
-            labeled = [((k, i), ax) for k in form.present_ranks for i, ax in enumerate(form.rank(k).axes)]
+            labeled = [((k, i), ax) for k in form.present_ranks for i, ax in enumerate(form.rank(k).angles.tolist())]
             assert inv.axis_labels == tuple(lbl for lbl, _ in labeled)
             pairs = [(a, b) for a in range(len(labeled)) for b in range(a + 1, len(labeled))]
             assert [(la, lb) for la, lb, _ in inv.pairwise] == [(labeled[a][0], labeled[b][0]) for a, b in pairs]
             for (a, b), (_, _, value) in zip(pairs, inv.pairwise):
                 qa, qb = labeled[a][1], labeled[b][1]
                 assert type(value) is float
-                assert abs(value - couple(qa.components, qb.components, 0)[0].real) <= 4e-16
-                assert abs(inv.abs_cosines[a, b] - abs(qa.dot(qb))) <= 4e-16
+                assert abs(value - couple(unit_vector_components(*qa), unit_vector_components(*qb), 0)[0].real) <= 4e-16
+                assert abs(inv.abs_cosines[a, b] - abs(float(np.dot(unit_vector(*qa), unit_vector(*qb))))) <= 4e-16
             cos = inv.abs_cosines
             assert np.array_equal(np.diag(cos), np.ones(len(labeled)))
             assert np.array_equal(cos, cos.T)
@@ -151,7 +151,8 @@ class TestEnumerate:
         rng = np.random.default_rng(36)
         for tj in (1, 2, 3, 8, 16):
             form = decompose(to_tensor(random_density_matrix(tj / 2, rng)))
-            ranks = {k: None if d is None else RankDecomposition(d.axes, d.r, d.flipped, d.residual)  # by position
+            ranks = {k: None if d is None else RankDecomposition(list(map(tuple, d.angles.tolist())), d.r, d.flipped,
+                                                                 d.residual)  # by position, the axes as tuples
                      for k, d in form.ranks.items()}
             rebuilt = MultiaxialForm(form.j, ranks)
             expected, got = enumerate_invariants(form), enumerate_invariants(rebuilt)
@@ -176,7 +177,7 @@ class TestInvariantStack:
         for form in forms:
             by_size.setdefault(form.n_axes, []).append(form)
         for n, group in by_size.items():  # one stack of every form with n axes, whatever its j and ranks
-            angles = [[(ax.theta, ax.phi) for k in f.present_ranks for ax in f.rank(k).axes] for f in group]
+            angles = [[ax for k in f.present_ranks for ax in f.rank(k).angles.tolist()] for f in group]
             values, abs_cos = _invariant_stack(np.reshape(angles, (len(group), n, 2)))
             assert values.shape == (len(group), n * (n - 1) // 2) and abs_cos.shape == (len(group), n, n)
             assert not values.flags.writeable and not abs_cos.flags.writeable

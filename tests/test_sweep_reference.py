@@ -56,10 +56,10 @@ def reference_ppt(rho, tol=1e-10):
 
 def reference_invariants(form):
     """(scalars, pairwise, abs_cosines, axis_labels, count) of one form."""
-    labeled = [((k, i), ax) for k in form.present_ranks for i, ax in enumerate(form.rank(k).axes)]
+    labeled = [((k, i), ax) for k in form.present_ranks for i, ax in enumerate(form.rank(k).angles.tolist())]
     labels = tuple(lbl for lbl, _ in labeled)
     n = len(labeled)
-    theta, phi = np.array([(ax.theta, ax.phi) for _, ax in labeled]).reshape(n, 2).T
+    theta, phi = np.array([ax for _, ax in labeled]).reshape(n, 2).T
     comps = unit_vector_components(theta, phi)
     coupled = np.zeros((n, n), dtype=complex)
     for i, weight in enumerate(CG_SCALAR):
